@@ -1,7 +1,7 @@
 //! Fleet-engine throughput: chunked multi-UE stepping, worker scaling,
 //! the scenario-matrix acceptance run (10k UEs × the four standard
 //! mobility models, per-cell load histograms in the output tables),
-//! the memory-bounded streaming/precision/edge-set paths, the
+//! the memory-bounded streaming and edge-set paths, the
 //! checkpoint freeze/resume cycle, and the dynamic-workload plane
 //! (churn + tide + failures + service classes) against its static
 //! baseline.
@@ -9,7 +9,7 @@
 use cellgeom::Axial;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use handover_sim::fleet::{
-    CandidateMode, FleetMobility, FleetPrecision, FleetSimulation, HomogeneousFleet, PolicyKind,
+    CandidateMode, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
 use handover_sim::matrix::ScenarioMatrix;
 use handover_sim::{
@@ -112,8 +112,8 @@ fn bench_scenario_matrix_10k(c: &mut Criterion) {
 }
 
 /// The 10×-scale lanes on the same 2k-UE walk: dense baseline, the
-/// streaming aggregator (no per-UE outcome vector), the f32 compact
-/// storage lanes, and the edge-set refinement of `Nearest(k)`. The
+/// streaming aggregator (no per-UE outcome vector), and the edge-set
+/// refinement of `Nearest(k)`. The
 /// streamed/edge acceptance assertions run once against the dense
 /// baseline.
 fn bench_scaled_paths(c: &mut Criterion) {
@@ -132,11 +132,6 @@ fn bench_scaled_paths(c: &mut Criterion) {
     g.bench_function("streamed", |b| {
         b.iter(|| black_box(streamed.run_streamed(&spec, UES, 7).expect("streamed run")))
     });
-
-    let compact = FleetSimulation::new(fleet_config())
-        .with_workers(4)
-        .with_precision(FleetPrecision::Compact);
-    g.bench_function("compact_f32", |b| b.iter(|| black_box(compact.run(&spec, UES, 7))));
 
     let edge = FleetSimulation::new(fleet_config())
         .with_workers(4)

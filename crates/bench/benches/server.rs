@@ -35,8 +35,7 @@ fn bench_session_vs_batch(c: &mut Criterion) {
     let engine = FleetSimulation::new(config.sim.clone())
         .with_workers(4)
         .with_chunk_size(config.chunk_size)
-        .with_candidate_mode(config.candidate_mode)
-        .with_precision(config.precision);
+        .with_candidate_mode(config.candidate_mode);
     let spec = HomogeneousFleet {
         mobility: config.mobility,
         policy: config.policy,

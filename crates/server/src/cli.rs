@@ -124,11 +124,11 @@ mod tests {
 
     #[test]
     fn choice_flags_reject_unknown_choices() {
-        let choices = [("full", 1u8), ("compact", 2u8)];
-        let a = args(&["prog", "--precision", "compact"]);
-        assert_eq!(choice_flag(&a, "--precision", &choices, 1).unwrap(), 2);
-        let a = args(&["prog", "--precision", "half"]);
-        let err = choice_flag(&a, "--precision", &choices, 1).unwrap_err();
-        assert!(err.message.contains("full|compact"), "{err}");
+        let choices = [("streamed", 1u8), ("dense", 2u8)];
+        let a = args(&["prog", "--mode", "dense"]);
+        assert_eq!(choice_flag(&a, "--mode", &choices, 1).unwrap(), 2);
+        let a = args(&["prog", "--mode", "sparse"]);
+        let err = choice_flag(&a, "--mode", &choices, 1).unwrap_err();
+        assert!(err.message.contains("streamed|dense"), "{err}");
     }
 }

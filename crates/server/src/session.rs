@@ -25,7 +25,7 @@
 use handover_core::twin::{CellLoadReport, SessionStatus, UePhase, UeTwinReport};
 use handover_sim::checkpoint::{seal_payload, unseal_payload, CheckpointError};
 use handover_sim::fleet::{
-    CandidateMode, FleetError, FleetMobility, FleetPrecision, FleetResult, FleetSimulation,
+    CandidateMode, FleetError, FleetMobility, FleetResult, FleetSimulation,
     HomogeneousFleet, PolicyKind,
 };
 use handover_sim::resilience::{ConfigError, RetryPolicy, Supervisor, SupervisorReport};
@@ -118,10 +118,10 @@ pub struct SessionConfig {
     pub trajectory_seed: u64,
     /// Cell radius for the fuzzy controller's DMB normalisation, km.
     pub cell_radius_km: f64,
-    /// Candidate measurement mode.
+    /// Candidate measurement mode. An `EdgeSet` margin must be finite
+    /// (see [`SessionConfig::validated`]); `Nearest(k)` is the
+    /// persistable spelling of `EdgeSet { k, margin_db: ∞ }`.
     pub candidate_mode: CandidateMode,
-    /// Mean-RSS storage precision.
-    pub precision: FleetPrecision,
     /// Per-worker chunk size.
     pub chunk_size: usize,
     /// Supervision parameters (checkpoint cadence, retries, backoff).
@@ -149,7 +149,6 @@ impl SessionConfig {
             trajectory_seed: base_seed ^ 0x5EED,
             cell_radius_km: 1.0,
             candidate_mode: CandidateMode::All,
-            precision: FleetPrecision::Full,
             chunk_size: 256,
             retry: RetryPolicy::default(),
         }
@@ -160,6 +159,12 @@ impl SessionConfig {
     /// parameters. Runs *before* any panicking engine builder, so a
     /// malformed wire request surfaces as a typed error, never a server
     /// panic.
+    ///
+    /// A non-finite `EdgeSet` margin is rejected as
+    /// [`ConfigError::NotFinite`] (`"edge margin"`): JSON has no
+    /// infinity, so the session could be spawned and sealed but its
+    /// snapshot could never be hydrated. Use `Nearest(k)` for the
+    /// infinite-margin mode.
     pub fn validated(&self) -> Result<(), ConfigError> {
         self.sim.validated()?;
         if let Some(traffic) = &self.traffic {
@@ -174,6 +179,11 @@ impl SessionConfig {
             }
         }
         self.retry.validated()?;
+        if let CandidateMode::EdgeSet { margin_db, .. } = self.candidate_mode {
+            if !margin_db.is_finite() {
+                return Err(ConfigError::NotFinite { field: "edge margin", value: margin_db });
+            }
+        }
         if !(self.cell_radius_km.is_finite() && self.cell_radius_km > 0.0) {
             return Err(ConfigError::NonPositive {
                 field: "cell radius",
@@ -197,8 +207,7 @@ impl SessionConfig {
         let mut engine = FleetSimulation::new(self.sim.clone())
             .with_workers(workers)
             .with_chunk_size(self.chunk_size)
-            .with_candidate_mode(self.candidate_mode)
-            .with_precision(self.precision);
+            .with_candidate_mode(self.candidate_mode);
         if let Some(traffic) = self.traffic {
             engine = engine.with_traffic(traffic);
         }

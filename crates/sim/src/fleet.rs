@@ -21,10 +21,6 @@
 //!   [`CandidateMode::Nearest`] prunes the dense `cells × chunk` sweep to
 //!   the cells near each UE, and [`CandidateMode::EdgeSet`] further
 //!   restricts the full sweep to *cell-edge* UEs (see its docs).
-//! * **Opt-in storage precision** — [`FleetPrecision::Compact`] stores
-//!   the dense mean-RSS matrix in `f32` lanes (half the hot arena) while
-//!   keeping every accumulator and decision in `f64`; the default
-//!   [`FleetPrecision::Full`] path is byte-pinned by the goldens.
 //! * **Per-UE deterministic RNG streams** — UE `i`'s measurement
 //!   randomness is seeded with [`ue_seed`]`(base_seed, i)`. UE 0 uses
 //!   `base_seed` exactly, which is what makes a 1-UE fleet reproduce
@@ -32,24 +28,26 @@
 //!   seeds (`StdRng::seed_from_u64` mixes them into independent ChaCha
 //!   streams).
 //! * **Sharded parallel stepping** — UE ids are split round-robin over
-//!   crossbeam workers, exactly like `monte_carlo`'s repetition sharding.
-//!   Because every UE owns its stream and the merge sorts outcomes by UE
-//!   id before folding the `f64` aggregates, the result is bit-identical
-//!   for any worker count, chunk size, or UE submission order. Worker
-//!   panics are caught and surfaced as [`FleetError::WorkerPanic`]
-//!   through the `try_*` entry points.
+//!   workers by [`crate::shard::map_ordered`], the primitive the
+//!   scenario matrix and `monte_carlo` share. Because every UE owns its
+//!   stream and the merge sorts outcomes by UE id before folding the
+//!   `f64` aggregates, the result is bit-identical for any worker count,
+//!   chunk size, or UE submission order. Worker panics are caught and
+//!   surfaced as the [`FleetError::WorkerPanic`] of the lowest failing
+//!   shard through the `try_*` entry points.
 //! * **Checkpoint/restore** — [`FleetSimulation::run_partial`] freezes a
 //!   pass after a fixed number of lockstep steps into a serializable
 //!   [`FleetCheckpoint`] (per-UE engine + policy + RNG stream state);
 //!   [`FleetSimulation::resume`] continues it to completion,
 //!   bit-identically to the uninterrupted run, for any worker count and
 //!   chunk size on either side of the snapshot.
-//! * **Streaming aggregation** — [`FleetSimulation::run_streamed`]
-//!   generates UE ids lazily and folds each chunk's outcomes into a
-//!   running [`FleetSummary`] + load histogram instead of materializing
-//!   the per-UE outcome vector, so fleet size no longer bounds memory;
-//!   the `f64` HD sum is still folded in global UE-id order, keeping the
-//!   aggregate bit-identical to [`FleetSimulation::run`].
+//! * **One pass, two sinks** — every entry point runs the same sharded
+//!   pass; each chunk hands its finished, traced and suspended UEs to a
+//!   sink. The run/checkpoint entry points collect them;
+//!   [`FleetSimulation::run_streamed`] generates UE ids lazily and folds
+//!   each outcome into a running [`FleetSummary`] instead, keeping only
+//!   one `f64` per UE. That HD sum is folded in global UE-id order,
+//!   keeping the aggregate bit-identical to [`FleetSimulation::run`].
 //!
 //! [`CellLayout`]: cellgeom::CellLayout
 
@@ -57,6 +55,7 @@ use crate::checkpoint::{CheckpointError, FleetCheckpoint, UeCheckpoint, CHECKPOI
 use crate::dynamics::DynamicsConfig;
 use crate::engine::{SimConfig, Simulation, UeState};
 use crate::resilience::{ConfigError, FaultInjector};
+use crate::shard;
 use crate::traffic::{replay_traffic, replay_traffic_dynamic, TrafficConfig, UeTrace};
 use cellgeom::Axial;
 use fuzzylogic::{CompiledFis, EvalScratch};
@@ -71,17 +70,11 @@ use handover_core::{
 use mobility::{
     GaussMarkov, ManhattanGrid, MobilityModel, RandomWalk, RandomWaypoint, Trajectory,
 };
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
-
-/// One worker's share of a fleet pass: its UE outcomes, its partial
-/// serving-load histogram, (traffic plane only) its serving-cell traces,
-/// and (bounded passes only) the UEs still live at the step bound.
-type WorkerPart = (Vec<UeOutcome>, CellLoadHistogram, Vec<UeTrace>, Vec<UeCheckpoint>);
 
 /// Errors surfaced by the fallible fleet entry points
 /// ([`FleetSimulation::try_run`] and friends) and the supervised runner
@@ -164,18 +157,6 @@ impl From<ConfigError> for FleetError {
 impl From<CheckpointError> for FleetError {
     fn from(err: CheckpointError) -> Self {
         FleetError::CorruptCheckpoint(err)
-    }
-}
-
-/// Best-effort extraction of a panic payload's message (the two shapes
-/// `panic!` produces, then a fallback).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -279,25 +260,6 @@ impl CandidateMode {
             },
         }
     }
-}
-
-/// Numeric storage precision of the fleet measurement plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum FleetPrecision {
-    /// Full `f64` mean-RSS storage — the default, byte-pinned path; every
-    /// golden report runs under it.
-    #[default]
-    Full,
-    /// `f32` storage lanes with `f64` accumulators: the dense
-    /// `cells × chunk` mean-RSS matrix is computed and stored in single
-    /// precision (halving the largest per-worker buffer) and each mean is
-    /// widened back to `f64` before shadowing, noise and decisions; the
-    /// pruned modes round their scalar means through `f32` the same way.
-    /// Opt-in: results differ from [`FleetPrecision::Full`] only by the
-    /// sub-µdB rounding of the mean path loss — all accumulation
-    /// (HD sums, tallies) stays `f64`, and the mode keeps the full
-    /// worker/chunk/order-invariance contract.
-    Compact,
 }
 
 /// The measurement-RNG seed of UE `ue_id` in a fleet seeded with
@@ -610,12 +572,25 @@ pub struct FleetStreamSummary {
     pub cell_load: CellLoadHistogram,
 }
 
-/// Which UEs a fleet pass steps: a fresh id set, or the live half of a
-/// checkpoint (plus the lockstep step it stopped at).
+/// Which UEs a fleet pass steps: a fresh id set, the fresh ids `0..n`
+/// (generated lazily, so the streamed path never builds the id vector),
+/// or the live half of a checkpoint (plus the lockstep step it stopped
+/// at).
 #[derive(Clone, Copy)]
 enum PassSource<'a> {
     Fresh(&'a [u64]),
+    Range(u64),
     Restored(&'a [UeCheckpoint], u64),
+}
+
+impl PassSource<'_> {
+    fn ue_count(&self) -> usize {
+        match *self {
+            PassSource::Fresh(ids) => ids.len(),
+            PassSource::Range(n) => usize::try_from(n).unwrap_or(usize::MAX),
+            PassSource::Restored(live, _) => live.len(),
+        }
+    }
 }
 
 /// One chunk's worth of a [`PassSource`].
@@ -625,12 +600,124 @@ enum ChunkUes<'a> {
     Restored(&'a [&'a UeCheckpoint]),
 }
 
-/// The merged output of one fleet pass; every vector ascends by UE id.
-struct PassOutput {
+/// Where a fleet pass delivers each UE as it leaves its chunk. Every
+/// worker fills its own sink; [`PassSink::merge`] joins them after the
+/// pass, in shard order.
+trait PassSink: Send {
+    /// The empty sink of one of `workers` shards, which steps `ues` UEs.
+    fn for_shard(workers: usize, ues: usize) -> Self
+    where
+        Self: Sized;
+    /// A UE finished its walk or departed; `trace` is its serving-cell
+    /// trace when the pass records traces.
+    fn finish(&mut self, outcome: UeOutcome, trace: Option<UeTrace>);
+    /// A UE was still live at the pass's step bound.
+    fn suspend(&mut self, ue: UeCheckpoint);
+    /// Join the per-worker sinks into the pass result.
+    fn merge(parts: Vec<Self>) -> Self
+    where
+        Self: Sized;
+}
+
+/// The collecting sink of the run and checkpoint entry points. After
+/// [`PassSink::merge`] every vector ascends by UE id.
+#[derive(Default)]
+struct Collected {
     outcomes: Vec<UeOutcome>,
-    cell_load: CellLoadHistogram,
     traces: Vec<UeTrace>,
     live: Vec<UeCheckpoint>,
+}
+
+impl PassSink for Collected {
+    fn for_shard(_workers: usize, _ues: usize) -> Self {
+        Collected::default()
+    }
+
+    fn finish(&mut self, outcome: UeOutcome, trace: Option<UeTrace>) {
+        self.outcomes.push(outcome);
+        self.traces.extend(trace);
+    }
+
+    fn suspend(&mut self, ue: UeCheckpoint) {
+        self.live.push(ue);
+    }
+
+    fn merge(parts: Vec<Self>) -> Self {
+        let mut parts = parts.into_iter();
+        let mut all = parts.next().unwrap_or_default();
+        for part in parts {
+            all.outcomes.extend(part.outcomes);
+            all.traces.extend(part.traces);
+            all.live.extend(part.live);
+        }
+        // UE-id order makes the f64 summary folds independent of the
+        // sharding and of the submission order of `ids` — and gives the
+        // traffic replay its deterministic event order.
+        all.outcomes.sort_by_key(|o| o.ue_id);
+        all.traces.sort_by_key(|t| t.ue_id);
+        all.live.sort_by_key(|l| l.ue_id);
+        all
+    }
+}
+
+/// The folding sink of [`FleetSimulation::run_streamed`]: integer
+/// tallies fold as UEs finish, while the `f64` HD sum waits for the
+/// merge, which folds it in UE-id order so the fold order matches
+/// [`FleetSimulation::run`]. It relies on the round-robin shards of a
+/// [`PassSource::Range`] pass: shard `w` of `W` steps UEs `w + k·W`.
+struct Folded {
+    summary: FleetSummary,
+    workers: usize,
+    /// The shard's per-UE HD sums, UE `w + k·W` at slot `k`. A UE without
+    /// HD observations keeps `+0.0`, which cannot change any bit of the
+    /// non-negative total.
+    hd_sums: Vec<f64>,
+}
+
+impl PassSink for Folded {
+    fn for_shard(workers: usize, ues: usize) -> Self {
+        Folded { summary: FleetSummary::default(), workers, hd_sums: vec![0.0; ues] }
+    }
+
+    fn finish(&mut self, outcome: UeOutcome, _trace: Option<UeTrace>) {
+        self.summary.absorb(&FleetSummary { hd_sum: 0.0, ..outcome.summary() });
+        self.hd_sums[(outcome.ue_id / self.workers as u64) as usize] = outcome.hd_sum;
+    }
+
+    fn suspend(&mut self, _ue: UeCheckpoint) {
+        // invariant: run_streamed passes carry no step bound.
+        unreachable!("streamed passes never suspend UEs");
+    }
+
+    fn merge(parts: Vec<Self>) -> Self {
+        let workers = parts.len();
+        let ues: usize = parts.iter().map(|p| p.hd_sums.len()).sum();
+        let mut summary = FleetSummary::default();
+        for part in &parts {
+            summary.absorb(&part.summary);
+        }
+        // UE i sits at slot i / W of shard i mod W.
+        for i in 0..ues {
+            summary.hd_sum += parts[i % workers].hd_sums[i / workers];
+        }
+        Folded { summary, workers, hd_sums: Vec::new() }
+    }
+}
+
+/// Cut `items` into `size`-long chunks in one reused buffer and hand
+/// each chunk to `f`.
+fn for_each_chunk<T>(items: impl Iterator<Item = T>, size: usize, mut f: impl FnMut(&[T])) {
+    let mut buf = Vec::with_capacity(size);
+    for item in items {
+        buf.push(item);
+        if buf.len() == size {
+            f(&buf);
+            buf.clear();
+        }
+    }
+    if !buf.is_empty() {
+        f(&buf);
+    }
 }
 
 /// Per-worker scratch arena: every buffer a chunk needs, allocated once
@@ -643,10 +730,8 @@ struct ChunkArena {
     active_idx: Vec<usize>,
     positions: Vec<cellgeom::Vec2>,
     points: Vec<mobility::TracePoint>,
-    /// Dense mean-RSS matrix, `cells × active` ([`FleetPrecision::Full`]).
+    /// Dense mean-RSS matrix, `cells × active`.
     rss_matrix: Vec<f64>,
-    /// Dense mean-RSS matrix in f32 lanes ([`FleetPrecision::Compact`]).
-    rss_matrix_f32: Vec<f32>,
     /// Per-cell means of the UE currently being measured.
     means: Vec<f64>,
     /// Gaussian scratch for the fused begin-step measurement kernel.
@@ -676,7 +761,6 @@ impl ChunkArena {
             positions: Vec::new(),
             points: Vec::new(),
             rss_matrix: Vec::new(),
-            rss_matrix_f32: Vec::new(),
             means: vec![0.0; n_cells],
             rng_scratch: Vec::with_capacity(2 * n_cells),
             subset: Vec::with_capacity(n_cells),
@@ -698,7 +782,6 @@ pub struct FleetSimulation {
     workers: usize,
     chunk_size: usize,
     candidate_mode: CandidateMode,
-    precision: FleetPrecision,
     traffic: Option<TrafficConfig>,
     dynamics: Option<DynamicsConfig>,
     /// Armed chaos harness (testing only; `None` in production). The
@@ -712,14 +795,13 @@ impl FleetSimulation {
     pub const DEFAULT_CHUNK_SIZE: usize = 128;
 
     /// Build a fleet engine (1 worker, default chunk size, dense
-    /// [`CandidateMode::All`] measurement, [`FleetPrecision::Full`]).
+    /// [`CandidateMode::All`] measurement).
     pub fn new(config: SimConfig) -> Self {
         FleetSimulation {
             sim: Simulation::new(config),
             workers: 1,
             chunk_size: Self::DEFAULT_CHUNK_SIZE,
             candidate_mode: CandidateMode::All,
-            precision: FleetPrecision::Full,
             traffic: None,
             dynamics: None,
             fault: None,
@@ -778,20 +860,6 @@ impl FleetSimulation {
     /// The active candidate measurement mode.
     pub fn candidate_mode(&self) -> CandidateMode {
         self.candidate_mode
-    }
-
-    /// Select the measurement-plane storage precision (see
-    /// [`FleetPrecision`]). The default [`FleetPrecision::Full`] path is
-    /// the byte-pinned one.
-    #[must_use]
-    pub fn with_precision(mut self, precision: FleetPrecision) -> Self {
-        self.precision = precision;
-        self
-    }
-
-    /// The active storage precision.
-    pub fn precision(&self) -> FleetPrecision {
-        self.precision
     }
 
     /// Attach the cell-load traffic plane (see [`crate::traffic`]): the
@@ -919,10 +987,11 @@ impl FleetSimulation {
     ) -> Result<FleetResult, FleetError> {
         self.validate_planes()?;
         let record = self.traffic.is_some() || self.dynamics.is_some();
-        let pass = self.pass(spec, PassSource::Fresh(ids), base_seed, record, None, None)?;
-        debug_assert!(pass.live.is_empty(), "unbounded passes run every UE to completion");
-        let result = assemble(pass.outcomes, pass.cell_load);
-        self.apply_traffic(spec, ids, base_seed, result, pass.traces)
+        let (out, cell_load) =
+            self.pass::<Collected>(spec, PassSource::Fresh(ids), base_seed, record, None, None)?;
+        debug_assert!(out.live.is_empty(), "unbounded passes run every UE to completion");
+        let result = assemble(out.outcomes, cell_load);
+        self.apply_traffic(spec, ids, base_seed, result, out.traces)
     }
 
     /// Freeze a fleet pass after `max_steps` lockstep steps: UEs whose
@@ -947,8 +1016,14 @@ impl FleetSimulation {
     ) -> Result<FleetCheckpoint, FleetError> {
         self.validate_planes()?;
         let tracing = self.traffic.is_some() || self.dynamics.is_some();
-        let out =
-            self.pass(spec, PassSource::Fresh(ids), base_seed, tracing, None, Some(max_steps))?;
+        let (out, cell_load) = self.pass::<Collected>(
+            spec,
+            PassSource::Fresh(ids),
+            base_seed,
+            tracing,
+            None,
+            Some(max_steps),
+        )?;
         Ok(FleetCheckpoint {
             version: CHECKPOINT_VERSION,
             step: max_steps,
@@ -956,15 +1031,15 @@ impl FleetSimulation {
             finished: out.outcomes,
             finished_traces: out.traces,
             live: out.live,
-            cell_load: out.cell_load,
+            cell_load,
             tracing,
         })
     }
 
     /// Continue a [`FleetSimulation::run_partial`] snapshot to
     /// completion. The engine must be configured like the one that took
-    /// the snapshot (same [`SimConfig`], candidate mode, precision and
-    /// traffic plane — worker count and chunk size are free); the spec
+    /// the snapshot (same [`SimConfig`], candidate mode and traffic
+    /// plane — worker count and chunk size are free); the spec
     /// must be the same deterministic population. Panics if the snapshot
     /// version or tracing mode does not match.
     pub fn resume(
@@ -1010,26 +1085,33 @@ impl FleetSimulation {
         spec: &dyn UeSpec,
         cp: &FleetCheckpoint,
     ) -> Result<FleetResult, FleetError> {
-        let out = self.pass(
-            spec,
-            PassSource::Restored(&cp.live, cp.step),
-            cp.base_seed,
-            cp.tracing,
-            None,
-            None,
-        )?;
+        let (out, cell_load) = self.resume_pass(spec, cp, None)?;
         debug_assert!(out.live.is_empty());
-        let mut outcomes = cp.finished.clone();
-        outcomes.extend(out.outcomes);
-        outcomes.sort_by_key(|o| o.ue_id);
-        let mut traces = cp.finished_traces.clone();
-        traces.extend(out.traces);
-        traces.sort_by_key(|t| t.ue_id);
+        let ids: Vec<u64> = out.outcomes.iter().map(|o| o.ue_id).collect();
+        let result = assemble(out.outcomes, cell_load);
+        self.apply_traffic(spec, &ids, cp.base_seed, result, out.traces)
+    }
+
+    /// The pass behind every resume: step `cp`'s live UEs (up to
+    /// `max_steps`) and merge its finished halves and serving load back
+    /// in, in UE-id order.
+    fn resume_pass(
+        &self,
+        spec: &dyn UeSpec,
+        cp: &FleetCheckpoint,
+        max_steps: Option<u64>,
+    ) -> Result<(Collected, CellLoadHistogram), FleetError> {
+        let restored = PassSource::Restored(&cp.live, cp.step);
+        let (out, out_load) =
+            self.pass::<Collected>(spec, restored, cp.base_seed, cp.tracing, None, max_steps)?;
+        let finished = Collected {
+            outcomes: cp.finished.clone(),
+            traces: cp.finished_traces.clone(),
+            live: Vec::new(),
+        };
         let mut cell_load = cp.cell_load.clone();
-        cell_load.merge(&out.cell_load);
-        let ids: Vec<u64> = outcomes.iter().map(|o| o.ue_id).collect();
-        let result = assemble(outcomes, cell_load);
-        self.apply_traffic(spec, &ids, cp.base_seed, result, traces)
+        cell_load.merge(&out_load);
+        Ok((Collected::merge(vec![finished, out]), cell_load))
     }
 
     /// Continue a snapshot up to a *later* step bound, producing the
@@ -1052,28 +1134,13 @@ impl FleetSimulation {
         if max_steps <= cp.step {
             return Ok(cp.clone());
         }
-        let out = self.pass(
-            spec,
-            PassSource::Restored(&cp.live, cp.step),
-            cp.base_seed,
-            cp.tracing,
-            None,
-            Some(max_steps),
-        )?;
-        let mut finished = cp.finished.clone();
-        finished.extend(out.outcomes);
-        finished.sort_by_key(|o| o.ue_id);
-        let mut finished_traces = cp.finished_traces.clone();
-        finished_traces.extend(out.traces);
-        finished_traces.sort_by_key(|t| t.ue_id);
-        let mut cell_load = cp.cell_load.clone();
-        cell_load.merge(&out.cell_load);
+        let (out, cell_load) = self.resume_pass(spec, cp, Some(max_steps))?;
         Ok(FleetCheckpoint {
             version: CHECKPOINT_VERSION,
             step: max_steps,
             base_seed: cp.base_seed,
-            finished,
-            finished_traces,
+            finished: out.outcomes,
+            finished_traces: out.traces,
             live: out.live,
             cell_load,
             tracing: cp.tracing,
@@ -1102,125 +1169,48 @@ impl FleetSimulation {
         }
     }
 
-    /// Run UEs `0..n_ues` and fold every chunk's outcomes into a running
-    /// aggregate instead of materializing the per-UE outcome vector — the
-    /// memory-bounded path for million-UE fleets: peak memory is
-    /// `O(workers × chunk_size)`, independent of `n_ues`, and no
-    /// `UEs × cells` structure ever exists (each worker holds one
-    /// `cells × chunk` matrix).
+    /// Run UEs `0..n_ues` through the same pass as [`FleetSimulation::run`]
+    /// with a folding sink: ids are generated lazily and every outcome
+    /// folds into a running aggregate instead of the per-UE outcome
+    /// vector — the memory-bounded path for million-UE fleets. Peak
+    /// memory is `O(workers × chunk_size)` plus one `f64` per UE (its HD
+    /// sum, kept for the id-ordered fold), and no `UEs × cells`
+    /// structure ever exists (each worker holds one `cells × chunk`
+    /// matrix).
     ///
     /// The returned [`FleetStreamSummary`] is bit-identical to the
     /// `summary`/`cell_load` of [`FleetSimulation::run`]: integer tallies
     /// commute, and the `f64` HD sum is re-folded in global UE-id order
-    /// at the merge (skipping UEs with no HD observations, which add a
-    /// literal `+0.0` and cannot change any bit of a non-negative sum).
+    /// at the merge (UEs with no HD observations add a literal `+0.0`,
+    /// which cannot change any bit of a non-negative sum).
     ///
-    /// Panics if a traffic plane is attached: traces would rematerialize
-    /// per-UE state, defeating the point — use [`FleetSimulation::run`]
-    /// for traffic studies. A dynamic-workload plane is allowed: churn
-    /// and BS failures act inside the engine loop and the streamed
-    /// `summary`/`cell_load` stay bit-identical to [`FleetSimulation::run`]
-    /// with the same dynamics, but no [`DynamicReport`] is produced (it
-    /// is derived from traces) and tide/service classes — traffic-replay
-    /// features — are inert here.
+    /// A traffic plane is rejected as [`FleetError::InvalidConfig`]:
+    /// traces would rematerialize per-UE state, defeating the point —
+    /// use [`FleetSimulation::run`] for traffic studies. A
+    /// dynamic-workload plane is allowed: churn and BS failures act
+    /// inside the engine loop and the streamed `summary`/`cell_load`
+    /// stay bit-identical to [`FleetSimulation::run`] with the same
+    /// dynamics, but no [`DynamicReport`] is produced (it is derived
+    /// from traces) and tide/service classes — traffic-replay features —
+    /// are inert here.
     pub fn run_streamed(
         &self,
         spec: &dyn UeSpec,
         n_ues: u64,
         base_seed: u64,
     ) -> Result<FleetStreamSummary, FleetError> {
-        assert!(
-            self.traffic.is_none(),
-            "the streaming path has no traffic plane (serving-cell traces would \
-             materialize per-UE state); use run/run_ids for traffic studies"
-        );
-        self.validate_planes()?;
-        let workers = (self.workers.max(1) as u64).min(n_ues.max(1)) as usize;
-        type StreamPart = (FleetSummary, CellLoadHistogram, Vec<(u64, f64)>);
-        let collected: Mutex<Vec<Result<StreamPart, String>>> =
-            Mutex::new(Vec::with_capacity(workers));
-
-        crossbeam::scope(|scope| {
-            for w in 0..workers {
-                let collected = &collected;
-                scope.spawn(move |_| {
-                    let part = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let cells = self.config().layout.cells();
-                        let mut arena = ChunkArena::new(cells.len());
-                        let mut load = CellLoadHistogram::new(cells.iter().copied());
-                        let mut summary = FleetSummary::default();
-                        let mut hd_parts: Vec<(u64, f64)> = Vec::new();
-                        let mut chunk_ids: Vec<u64> = Vec::with_capacity(self.chunk_size);
-                        let mut chunk_out: Vec<UeOutcome> = Vec::with_capacity(self.chunk_size);
-                        // Lazy round-robin id generation: worker w owns
-                        // ids w, w+workers, w+2·workers, … — the same
-                        // shard run_ids would hand it, without the id
-                        // vector ever existing.
-                        let mut next = w as u64;
-                        while next < n_ues {
-                            chunk_ids.clear();
-                            while chunk_ids.len() < self.chunk_size && next < n_ues {
-                                chunk_ids.push(next);
-                                next += workers as u64;
-                            }
-                            chunk_out.clear();
-                            self.simulate_chunk(
-                                spec,
-                                ChunkUes::Fresh(&chunk_ids),
-                                base_seed,
-                                None,
-                                0,
-                                None,
-                                &mut arena,
-                                &mut load,
-                                &mut chunk_out,
-                                None,
-                                None,
-                            );
-                            for o in chunk_out.drain(..) {
-                                // Integer tallies fold immediately; the
-                                // f64 HD sum is deferred to the id-ordered
-                                // merge so the fold order matches run().
-                                summary.ues += 1;
-                                summary.steps += o.steps;
-                                summary.handovers += o.handovers;
-                                summary.ping_pongs += o.ping_pongs;
-                                summary.outage_steps += o.outage_steps;
-                                summary.hd_count += o.hd_count;
-                                if o.hd_count > 0 {
-                                    hd_parts.push((o.ue_id, o.hd_sum));
-                                }
-                            }
-                        }
-                        (summary, load, hd_parts)
-                    }));
-                    collected.lock().push(part.map_err(|p| panic_message(p.as_ref())));
-                });
+        if self.traffic.is_some() {
+            return Err(ConfigError::Unsupported {
+                what: "traffic plane",
+                by: "the streamed fleet path (its serving-cell traces would \
+                     materialize per-UE state; use run/run_ids for traffic studies)",
             }
-        })
-        // invariant: worker closures wrap their bodies in catch_unwind,
-        // so the scope's join cannot observe a panicked thread.
-        .expect("fleet worker panics are caught inside the workers");
-
-        let mut cell_load = CellLoadHistogram::new(self.config().layout.cells().iter().copied());
-        let mut summary = FleetSummary::default();
-        let mut hd_parts: Vec<(u64, f64)> = Vec::new();
-        for part in collected.into_inner() {
-            let (s, load, parts) = part.map_err(FleetError::WorkerPanic)?;
-            summary.ues += s.ues;
-            summary.steps += s.steps;
-            summary.handovers += s.handovers;
-            summary.ping_pongs += s.ping_pongs;
-            summary.outage_steps += s.outage_steps;
-            summary.hd_count += s.hd_count;
-            cell_load.merge(&load);
-            hd_parts.extend(parts);
+            .into());
         }
-        hd_parts.sort_unstable_by_key(|&(id, _)| id);
-        for &(_, hd) in &hd_parts {
-            summary.hd_sum += hd;
-        }
-        Ok(FleetStreamSummary { summary, cell_load })
+        self.validate_planes()?;
+        let (folded, cell_load) =
+            self.pass::<Folded>(spec, PassSource::Range(n_ues), base_seed, false, None, None)?;
+        Ok(FleetStreamSummary { summary: folded.summary, cell_load })
     }
 
     /// The replay half of a run: derive the dynamic-workload report from
@@ -1233,7 +1223,7 @@ impl FleetSimulation {
         ids: &[u64],
         base_seed: u64,
         mut result: FleetResult,
-        traces: Vec<UeTrace>,
+        mut traces: Vec<UeTrace>,
     ) -> Result<FleetResult, FleetError> {
         if self.dynamics.is_some() {
             result.dynamics = Some(dynamic_report(&traces, &result.cell_load, None));
@@ -1242,49 +1232,47 @@ impl FleetSimulation {
             return Ok(result);
         };
         let cells = self.config().layout.cells();
-        match &self.dynamics {
+        let replay = |traces: &[UeTrace]| match &self.dynamics {
             None => {
-                let (report, field) = replay_traffic(traffic, cells, &traces, base_seed);
-                if !traffic.load_feedback {
-                    result.traffic = Some(report);
-                    return Ok(result);
-                }
-                let field = Arc::new(field);
-                let fed =
-                    self.pass(spec, PassSource::Fresh(ids), base_seed, true, Some(&field), None)?;
-                let (fed_report, _) = replay_traffic(traffic, cells, &fed.traces, base_seed);
-                let mut fed_result = assemble(fed.outcomes, fed.cell_load);
-                fed_result.traffic = Some(fed_report);
-                Ok(fed_result)
+                let (report, field) = replay_traffic(traffic, cells, traces, base_seed);
+                (report, field, None)
             }
             Some(dynamics) => {
                 let (report, field, stats) =
-                    replay_traffic_dynamic(traffic, cells, &traces, base_seed, dynamics);
-                if !traffic.load_feedback {
-                    result.traffic = Some(report);
-                    result.dynamics = Some(dynamic_report(&traces, &result.cell_load, Some(stats)));
-                    return Ok(result);
-                }
-                let field = Arc::new(field);
-                let fed =
-                    self.pass(spec, PassSource::Fresh(ids), base_seed, true, Some(&field), None)?;
-                let (fed_report, _, fed_stats) =
-                    replay_traffic_dynamic(traffic, cells, &fed.traces, base_seed, dynamics);
-                let mut fed_result = assemble(fed.outcomes, fed.cell_load);
-                fed_result.traffic = Some(fed_report);
-                fed_result.dynamics =
-                    Some(dynamic_report(&fed.traces, &fed_result.cell_load, Some(fed_stats)));
-                Ok(fed_result)
+                    replay_traffic_dynamic(traffic, cells, traces, base_seed, dynamics);
+                (report, field, Some(stats))
             }
+        };
+        let (mut report, field, mut stats) = replay(&traces);
+        if traffic.load_feedback {
+            let field = Arc::new(field);
+            let (fed, fed_load) = self.pass::<Collected>(
+                spec,
+                PassSource::Fresh(ids),
+                base_seed,
+                true,
+                Some(&field),
+                None,
+            )?;
+            (report, _, stats) = replay(&fed.traces);
+            result = assemble(fed.outcomes, fed_load);
+            traces = fed.traces;
         }
+        result.traffic = Some(report);
+        if self.dynamics.is_some() {
+            result.dynamics = Some(dynamic_report(&traces, &result.cell_load, stats));
+        }
+        Ok(result)
     }
 
     /// One fleet pass: the sharded parallel stepping, optionally
     /// recording serving-cell traces (traffic plane), optionally
     /// injecting a frozen occupancy field (load-feedback pass), and
     /// optionally stopping at a lockstep step bound (checkpointing).
-    /// Every output vector comes back sorted by UE id.
-    fn pass(
+    /// Worker `w` steps the `w`-th round-robin shard of `source`, cut
+    /// lazily into chunks, into its own sink `S`; a worker panic
+    /// surfaces as the lowest failing shard's [`FleetError::WorkerPanic`].
+    fn pass<S: PassSink>(
         &self,
         spec: &dyn UeSpec,
         source: PassSource<'_>,
@@ -1292,110 +1280,65 @@ impl FleetSimulation {
         record_traces: bool,
         load_field: Option<&Arc<LoadField>>,
         max_steps: Option<u64>,
-    ) -> Result<PassOutput, FleetError> {
-        let n_total = match source {
-            PassSource::Fresh(ids) => ids.len(),
-            PassSource::Restored(live, _) => live.len(),
-        };
-        let workers = self.workers.clamp(1, n_total.max(1));
-        let collected: Mutex<Vec<Result<WorkerPart, String>>> =
-            Mutex::new(Vec::with_capacity(workers));
-
-        crossbeam::scope(|scope| {
-            for w in 0..workers {
-                let collected = &collected;
-                scope.spawn(move |_| {
-                    // Catch panics inside the worker so they surface as a
-                    // FleetError with the original message, instead of
-                    // crossbeam's opaque scope error.
-                    let part = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let cells = self.config().layout.cells();
-                        let mut arena = ChunkArena::new(cells.len());
-                        let mut outcomes = Vec::new();
-                        let mut load = CellLoadHistogram::new(cells.iter().copied());
-                        let mut traces = Vec::new();
-                        let mut live_out = Vec::new();
-                        // Static round-robin shard, independent of
-                        // scheduling.
-                        match source {
-                            PassSource::Fresh(ids) => {
-                                let shard: Vec<u64> =
-                                    ids.iter().copied().skip(w).step_by(workers).collect();
-                                for chunk in shard.chunks(self.chunk_size) {
-                                    self.simulate_chunk(
-                                        spec,
-                                        ChunkUes::Fresh(chunk),
-                                        base_seed,
-                                        load_field,
-                                        0,
-                                        max_steps,
-                                        &mut arena,
-                                        &mut load,
-                                        &mut outcomes,
-                                        record_traces.then_some(&mut traces),
-                                        max_steps.is_some().then_some(&mut live_out),
-                                    );
-                                }
-                            }
-                            PassSource::Restored(live, start_step) => {
-                                let shard: Vec<&UeCheckpoint> =
-                                    live.iter().skip(w).step_by(workers).collect();
-                                for chunk in shard.chunks(self.chunk_size) {
-                                    self.simulate_chunk(
-                                        spec,
-                                        ChunkUes::Restored(chunk),
-                                        base_seed,
-                                        load_field,
-                                        start_step,
-                                        max_steps,
-                                        &mut arena,
-                                        &mut load,
-                                        &mut outcomes,
-                                        record_traces.then_some(&mut traces),
-                                        max_steps.is_some().then_some(&mut live_out),
-                                    );
-                                }
-                            }
-                        }
-                        (outcomes, load, traces, live_out)
-                    }));
-                    collected.lock().push(part.map_err(|p| panic_message(p.as_ref())));
-                });
+    ) -> Result<(S, CellLoadHistogram), FleetError> {
+        let n_ues = source.ue_count();
+        let workers = self.workers.clamp(1, n_ues.max(1));
+        let cells = self.config().layout.cells();
+        let parts = shard::map_ordered(workers, workers, |w| {
+            let mut arena = ChunkArena::new(cells.len());
+            let mut load = CellLoadHistogram::new(cells.iter().copied());
+            let mut sink = S::for_shard(workers, n_ues.saturating_sub(w).div_ceil(workers));
+            let mut run_chunk = |chunk: ChunkUes<'_>, start_step: u64| {
+                self.simulate_chunk(
+                    spec,
+                    chunk,
+                    base_seed,
+                    load_field,
+                    start_step,
+                    max_steps,
+                    record_traces,
+                    &mut arena,
+                    &mut load,
+                    &mut sink,
+                );
+            };
+            let size = self.chunk_size;
+            match source {
+                PassSource::Fresh(ids) => {
+                    let shard = ids.iter().copied().skip(w).step_by(workers);
+                    for_each_chunk(shard, size, |c| run_chunk(ChunkUes::Fresh(c), 0));
+                }
+                PassSource::Range(n) => {
+                    let shard = (w as u64..n).step_by(workers);
+                    for_each_chunk(shard, size, |c| run_chunk(ChunkUes::Fresh(c), 0));
+                }
+                PassSource::Restored(live, start_step) => {
+                    let shard = live.iter().skip(w).step_by(workers);
+                    for_each_chunk(shard, size, |c| run_chunk(ChunkUes::Restored(c), start_step));
+                }
             }
-        })
-        // invariant: worker closures wrap their bodies in catch_unwind,
-        // so the scope's join cannot observe a panicked thread.
-        .expect("fleet worker panics are caught inside the workers");
+            (sink, load)
+        });
 
-        let mut cell_load = CellLoadHistogram::new(self.config().layout.cells().iter().copied());
-        let mut outcomes: Vec<UeOutcome> = Vec::with_capacity(n_total);
-        let mut traces: Vec<UeTrace> = Vec::new();
-        let mut live: Vec<UeCheckpoint> = Vec::new();
-        for part in collected.into_inner() {
-            let (part_outcomes, load, part_traces, part_live) =
-                part.map_err(FleetError::WorkerPanic)?;
-            outcomes.extend(part_outcomes);
+        let mut cell_load = CellLoadHistogram::new(cells.iter().copied());
+        let mut sinks = Vec::with_capacity(workers);
+        for part in parts {
+            let (sink, load) = part.map_err(FleetError::WorkerPanic)?;
             cell_load.merge(&load);
-            traces.extend(part_traces);
-            live.extend(part_live);
+            sinks.push(sink);
         }
-        // UE-id order makes the f64 summary folds independent of the
-        // sharding and of the submission order of `ids` — and gives the
-        // traffic replay its deterministic event order.
-        outcomes.sort_by_key(|o| o.ue_id);
-        traces.sort_by_key(|t| t.ue_id);
-        live.sort_by_key(|l| l.ue_id);
-        Ok(PassOutput { outcomes, cell_load, traces, live })
+        Ok((S::merge(sinks), cell_load))
     }
 
     /// Step one chunk of UEs in lockstep, batching the mean RSS
     /// evaluation per (BS, chunk) and the fuzzy FLC evaluation per chunk
-    /// at every step. With `traces` the chunk also records every UE's
-    /// per-step serving cell (traffic plane); with `load_field` it hands
-    /// every policy the frozen occupancy timeline before stepping. With
-    /// `max_steps` the chunk stops at that lockstep step and exports the
-    /// still-live UEs into `live_out`; `start_step` > 0 resumes restored
-    /// UEs mid-walk (fast-forwarding their trajectory cursors).
+    /// at every step, and hand every UE that leaves the chunk to `sink`.
+    /// With `tracing` the chunk also records every UE's per-step serving
+    /// cell (traffic plane); with `load_field` it hands every policy the
+    /// frozen occupancy timeline before stepping. With `max_steps` the
+    /// chunk stops at that lockstep step and suspends the still-live UEs
+    /// into the sink; `start_step` > 0 resumes restored UEs mid-walk
+    /// (fast-forwarding their trajectory cursors).
     #[allow(clippy::too_many_arguments)]
     fn simulate_chunk(
         &self,
@@ -1405,19 +1348,16 @@ impl FleetSimulation {
         load_field: Option<&Arc<LoadField>>,
         start_step: u64,
         max_steps: Option<u64>,
+        tracing: bool,
         arena: &mut ChunkArena,
         load: &mut CellLoadHistogram,
-        out: &mut Vec<UeOutcome>,
-        mut traces: Option<&mut Vec<UeTrace>>,
-        mut live_out: Option<&mut Vec<UeCheckpoint>>,
+        sink: &mut dyn PassSink,
     ) {
         let cfg = self.config();
         let cells = cfg.layout.cells();
         let compiled = self.sim.compiled_radio();
         let bs_positions = self.sim.bs_positions();
         let prune_plan = self.candidate_mode.plan(cells.len());
-        let compact = self.precision == FleetPrecision::Compact;
-        let tracing = traces.is_some();
 
         // Split the arena into independent buffers so each phase can
         // borrow exactly what it needs.
@@ -1428,7 +1368,6 @@ impl FleetSimulation {
             positions,
             points,
             rss_matrix,
-            rss_matrix_f32,
             means,
             rng_scratch,
             subset,
@@ -1440,16 +1379,9 @@ impl FleetSimulation {
         } = arena;
         debug_assert_eq!(means.len(), cells.len(), "arena sized for this layout");
 
-        // The scalar mean of one (BS, position) pair, rounded through
-        // the f32 storage lane under FleetPrecision::Compact so the
-        // pruned modes see the exact numbers the dense f32 matrix holds.
+        // The scalar mean of one (BS, position) pair (pruned modes).
         let mean_at = |slot: usize, pos: cellgeom::Vec2| -> f64 {
-            let v = compiled.received_power_dbm(bs_positions[slot], pos);
-            if compact {
-                f64::from(v as f32)
-            } else {
-                v
-            }
+            compiled.received_power_dbm(bs_positions[slot], pos)
         };
 
         let ids: Vec<u64> = match chunk {
@@ -1594,22 +1526,20 @@ impl FleetSimulation {
                 if step >= bound {
                     for i in 0..n {
                         let Some(state) = ues[i].take() else { continue };
-                        if let Some(sink) = live_out.as_deref_mut() {
-                            sink.push(UeCheckpoint {
-                                ue_id: ids[i],
-                                engine: state.snapshot(),
-                                policy: policies[i].policy_checkpoint(),
-                                hd_sum: hd_sums[i],
-                                hd_count: hd_counts[i],
-                                travelled_km: travelled[i],
-                                trace_steps: if tracing { trace_steps[i] } else { 0 },
-                                trace_changes: if tracing {
-                                    std::mem::take(&mut trace_bufs[i])
-                                } else {
-                                    Vec::new()
-                                },
-                            });
-                        }
+                        sink.suspend(UeCheckpoint {
+                            ue_id: ids[i],
+                            engine: state.snapshot(),
+                            policy: policies[i].policy_checkpoint(),
+                            hd_sum: hd_sums[i],
+                            hd_count: hd_counts[i],
+                            travelled_km: travelled[i],
+                            trace_steps: if tracing { trace_steps[i] } else { 0 },
+                            trace_changes: if tracing {
+                                std::mem::take(&mut trace_bufs[i])
+                            } else {
+                                Vec::new()
+                            },
+                        });
                         spare.push(state);
                     }
                     break;
@@ -1626,37 +1556,17 @@ impl FleetSimulation {
             points.clear();
             let mut pending_arrivals = 0usize;
             for i in 0..n {
-                if ues[i].is_none() {
-                    continue;
-                }
+                let Some(state) = &ues[i] else { continue };
+                let mut departed = false;
                 if let Some(windows) = &churn_windows {
                     let (arrival, lifetime) = windows[i];
                     if step < arrival {
                         pending_arrivals += 1;
                         continue;
                     }
-                    if ues[i].as_ref().expect("UE is live").step_count() as u64 >= lifetime {
-                        let state = ues[i].take().expect("UE is live");
-                        out.push(finish_ue(
-                            cfg,
-                            ids[i],
-                            &state,
-                            hd_sums[i],
-                            hd_counts[i],
-                            travelled[i],
-                        ));
-                        spare.push(state);
-                        if let Some(sink) = traces.as_deref_mut() {
-                            sink.push(UeTrace {
-                                ue_id: ids[i],
-                                steps: trace_steps[i],
-                                changes: std::mem::take(&mut trace_bufs[i]),
-                            });
-                        }
-                        continue;
-                    }
+                    departed = state.step_count() as u64 >= lifetime;
                 }
-                match cursors[i].next() {
+                match if departed { None } else { cursors[i].next() } {
                     Some(p) => {
                         active_idx.push(i);
                         positions.push(p.pos);
@@ -1664,22 +1574,21 @@ impl FleetSimulation {
                     }
                     None => {
                         let state = ues[i].take().expect("UE is live");
-                        out.push(finish_ue(
+                        let outcome = finish_ue(
                             cfg,
                             ids[i],
                             &state,
                             hd_sums[i],
                             hd_counts[i],
                             travelled[i],
-                        ));
+                        );
+                        let trace = tracing.then(|| UeTrace {
+                            ue_id: ids[i],
+                            steps: trace_steps[i],
+                            changes: std::mem::take(&mut trace_bufs[i]),
+                        });
+                        sink.finish(outcome, trace);
                         spare.push(state);
-                        if let Some(sink) = traces.as_deref_mut() {
-                            sink.push(UeTrace {
-                                ue_id: ids[i],
-                                steps: trace_steps[i],
-                                changes: std::mem::take(&mut trace_bufs[i]),
-                            });
-                        }
                     }
                 }
             }
@@ -1711,9 +1620,8 @@ impl FleetSimulation {
                 };
 
             // Batched mean RSS (dense mode only): one (BS × chunk) pass
-            // per cell through the compiled link budget, into f64 or f32
-            // storage lanes per the precision setting. The buffer is only
-            // resized when the active count changes — every slot is
+            // per cell through the compiled link budget. The buffer is
+            // only resized when the active count changes — every slot is
             // overwritten below, so no zero-fill churn.
             if matches!(prune_plan, PrunePlan::Dense) {
                 // Chaos harness: a scripted allocation failure in the
@@ -1722,24 +1630,13 @@ impl FleetSimulation {
                 if let Some(injector) = &self.fault {
                     injector.check_arena_grow(step);
                 }
-                if compact {
-                    rss_matrix_f32.resize(cells.len() * a, 0.0);
-                    for (k, &bs_pos) in bs_positions.iter().enumerate() {
-                        compiled.received_power_dbm_batch_f32(
-                            bs_pos,
-                            positions,
-                            &mut rss_matrix_f32[k * a..(k + 1) * a],
-                        );
-                    }
-                } else {
-                    rss_matrix.resize(cells.len() * a, 0.0);
-                    for (k, &bs_pos) in bs_positions.iter().enumerate() {
-                        compiled.received_power_dbm_batch(
-                            bs_pos,
-                            positions,
-                            &mut rss_matrix[k * a..(k + 1) * a],
-                        );
-                    }
+                rss_matrix.resize(cells.len() * a, 0.0);
+                for (k, &bs_pos) in bs_positions.iter().enumerate() {
+                    compiled.received_power_dbm_batch(
+                        bs_pos,
+                        positions,
+                        &mut rss_matrix[k * a..(k + 1) * a],
+                    );
                 }
             }
 
@@ -1756,14 +1653,8 @@ impl FleetSimulation {
                 let ue = ues[i].as_mut().expect("UE is live");
                 let report = match prune_plan {
                     PrunePlan::Dense => {
-                        if compact {
-                            for (k, slot) in means.iter_mut().enumerate() {
-                                *slot = f64::from(rss_matrix_f32[k * a + j]);
-                            }
-                        } else {
-                            for (k, slot) in means.iter_mut().enumerate() {
-                                *slot = rss_matrix[k * a + j];
-                            }
+                        for (k, slot) in means.iter_mut().enumerate() {
+                            *slot = rss_matrix[k * a + j];
                         }
                         ue.begin_step_fused(
                             cfg,
@@ -2519,6 +2410,42 @@ mod tests {
         }
     }
 
+    /// Panics with its own UE id; UE 0 sleeps first, so under a
+    /// first-come merge a later shard's panic would usually win.
+    struct IdPanicPolicy(u64);
+    impl HandoverPolicy for IdPanicPolicy {
+        fn decide(&mut self, _report: &MeasurementReport) -> Decision {
+            if self.0 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(3));
+            }
+            panic!("ue {}", self.0);
+        }
+        fn notify_handover(&mut self, _new_serving: Axial) {}
+        fn name(&self) -> &'static str {
+            "id-panic"
+        }
+    }
+
+    #[test]
+    fn worker_failures_report_the_lowest_failing_shard() {
+        struct IdPanics;
+        impl UeSpec for IdPanics {
+            fn trajectory(&self, ue_id: u64) -> Trajectory {
+                fuzzy_walk_spec(3).trajectory(ue_id)
+            }
+            fn policy(&self, ue_id: u64) -> Box<dyn HandoverPolicy + Send> {
+                Box::new(IdPanicPolicy(ue_id))
+            }
+        }
+        let fleet = FleetSimulation::new(noisy_config()).with_workers(3);
+        for attempt in 0..5 {
+            let err = fleet.try_run(&IdPanics, 6, 1).unwrap_err();
+            assert_eq!(err, FleetError::WorkerPanic("ue 0".into()), "attempt {attempt}");
+            let err = fleet.run_streamed(&IdPanics, 6, 1).unwrap_err();
+            assert_eq!(err, FleetError::WorkerPanic("ue 0".into()), "streamed attempt {attempt}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "on purpose")]
     fn run_panics_on_worker_panic() {
@@ -2530,36 +2457,6 @@ mod tests {
         let spec = fuzzy_walk_spec(5);
         let fleet = FleetSimulation::new(noisy_config()).with_workers(2);
         assert_eq!(fleet.try_run(&spec, 12, 3).unwrap(), fleet.run(&spec, 12, 3));
-    }
-
-    #[test]
-    fn compact_precision_is_deterministic_and_close_to_full() {
-        let spec = fuzzy_walk_spec(5);
-        let full = FleetSimulation::new(noisy_config()).run(&spec, 40, 9);
-        let compact = FleetSimulation::new(noisy_config())
-            .with_precision(FleetPrecision::Compact)
-            .run(&spec, 40, 9);
-        // Same walks, so identical step counts; the f32 mean rounding may
-        // flip a handful of near-threshold decisions, nothing more.
-        assert_eq!(full.summary.steps, compact.summary.steps);
-        let per_ue_gap = (full.summary.handovers as f64 - compact.summary.handovers as f64)
-            .abs()
-            / full.summary.ues as f64;
-        assert!(
-            per_ue_gap < 0.5,
-            "compact drifted: {} vs {} handovers",
-            full.summary.handovers,
-            compact.summary.handovers
-        );
-        // The compact path keeps the full invariance contract.
-        for (workers, chunk) in [(3, 7), (8, 1)] {
-            let again = FleetSimulation::new(noisy_config())
-                .with_precision(FleetPrecision::Compact)
-                .with_workers(workers)
-                .with_chunk_size(chunk)
-                .run(&spec, 40, 9);
-            assert_eq!(compact, again, "workers={workers} chunk={chunk}");
-        }
     }
 
     #[test]
@@ -2742,11 +2639,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no traffic plane")]
     fn streamed_rejects_traffic_plane() {
         let spec = fuzzy_walk_spec(1);
-        let _ = FleetSimulation::new(noisy_config())
+        let err = FleetSimulation::new(noisy_config())
             .with_traffic(demo_traffic())
-            .run_streamed(&spec, 4, 1);
+            .run_streamed(&spec, 4, 1)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FleetError::InvalidConfig(ConfigError::Unsupported { what: "traffic plane", .. })
+            ),
+            "{err:?}"
+        );
     }
 }

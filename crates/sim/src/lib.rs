@@ -11,6 +11,9 @@
 //!   search that found them.
 //! * [`monte_carlo`] — N-repetition averaging, sequentially or on a
 //!   crossbeam thread pool.
+//! * [`shard`] — the one sharding primitive behind every parallel loop:
+//!   static round-robin partition, per-item panic capture, results in
+//!   index order.
 //! * [`fleet`] — the multi-UE fleet engine: thousands of mobile stations
 //!   stepping through one layout with batched RSS evaluation, per-UE RNG
 //!   streams and sharded parallel execution.
@@ -54,6 +57,7 @@ pub mod monte_carlo;
 pub mod params;
 pub mod resilience;
 pub mod scenario;
+pub mod shard;
 pub mod series;
 pub mod table;
 pub mod traffic;
@@ -68,7 +72,7 @@ pub use dynamics::{
 };
 pub use engine::{SimConfig, SimResult, Simulation, StepRecord};
 pub use fleet::{
-    ue_seed, FleetError, FleetMobility, FleetPrecision, FleetResult, FleetSimulation,
+    ue_seed, FleetError, FleetMobility, FleetResult, FleetSimulation,
     FleetStreamSummary, HomogeneousFleet, PolicyKind, UeOutcome, UeSpec,
 };
 pub use matrix::{MatrixCellResult, MatrixMetric, MatrixResult, ScenarioMatrix};

@@ -12,10 +12,10 @@ use crate::fleet::{
     CandidateMode, FleetError, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
 use crate::series::Series;
+use crate::shard;
 use crate::table::{fmt_f, TextTable};
 use crate::traffic::TrafficConfig;
 use handover_core::{CellLoadHistogram, DynamicReport, FleetSummary, TrafficReport};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// SplitMix64 finalizer deriving each matrix cell's seed from the master
@@ -205,8 +205,8 @@ impl ScenarioMatrix {
     }
 
     /// Run every matrix cell. With `matrix_workers > 1` the cells run
-    /// concurrently (round-robin sharded over crossbeam workers, like the
-    /// fleet engine's UE sharding); the report is merged back into sweep
+    /// concurrently (round-robin sharded by [`crate::shard::map_ordered`],
+    /// like the fleet engine's UE shards); the report comes back in sweep
     /// order, so the result is identical for every worker count. Panics
     /// on a fleet failure; see [`ScenarioMatrix::try_run`] for the
     /// fallible form.
@@ -221,42 +221,12 @@ impl ScenarioMatrix {
     /// outcome is a pure function of its own spec and seed.
     pub fn try_run(&self) -> Result<MatrixResult, FleetError> {
         let specs = self.cell_specs();
-        let matrix_workers = self.matrix_workers.clamp(1, specs.len().max(1));
-        if matrix_workers == 1 {
-            return Ok(MatrixResult {
-                cells: specs
-                    .iter()
-                    .map(|s| self.try_run_cell(s))
-                    .collect::<Result<Vec<_>, _>>()?,
-            });
-        }
-
-        let collected: Mutex<Vec<(usize, Result<MatrixCellResult, FleetError>)>> =
-            Mutex::new(Vec::with_capacity(specs.len()));
-        crossbeam::scope(|scope| {
-            for w in 0..matrix_workers {
-                let collected = &collected;
-                let specs = &specs;
-                scope.spawn(move |_| {
-                    for (index, spec) in
-                        specs.iter().enumerate().skip(w).step_by(matrix_workers)
-                    {
-                        let cell = self.try_run_cell(spec);
-                        collected.lock().push((index, cell));
-                    }
-                });
-            }
+        let cells = shard::map_ordered(specs.len(), self.matrix_workers, |i| {
+            self.try_run_cell(&specs[i])
         })
-        // invariant: cell panics are converted to FleetError values by
-        // try_run_cell before they can unwind a matrix worker.
-        .expect("matrix workers do not panic");
-
-        let mut indexed = collected.into_inner();
-        indexed.sort_by_key(|(index, _)| *index);
-        let mut cells = Vec::with_capacity(indexed.len());
-        for (_, cell) in indexed {
-            cells.push(cell?);
-        }
+        .into_iter()
+        .map(|cell| cell.map_err(FleetError::WorkerPanic).and_then(|cell| cell))
+        .collect::<Result<Vec<_>, _>>()?;
         Ok(MatrixResult { cells })
     }
 }

@@ -12,13 +12,12 @@
 //! [`FuzzyHandoverController::new`]: handover_core::FuzzyHandoverController::new
 
 use crate::engine::{SimResult, Simulation};
-use crate::fleet::{panic_message, FleetError};
+use crate::fleet::FleetError;
 use crate::resilience::ConfigError;
+use crate::shard;
 use handover_core::HandoverPolicy;
 use mobility::Trajectory;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Aggregate statistics over a batch of runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -91,39 +90,15 @@ pub fn try_run_repetitions_parallel(
     if reps < 1 {
         return Err(ConfigError::TooSmall { field: "repetitions", minimum: 1, got: 0 }.into());
     }
-    let threads = threads.clamp(1, reps);
-    let results: Mutex<Vec<(usize, Result<SimResult, FleetError>)>> =
-        Mutex::new(Vec::with_capacity(reps));
-    crossbeam::scope(|scope| {
-        for t in 0..threads {
-            let results = &results;
-            let make_policy = &make_policy;
-            scope.spawn(move |_| {
-                // Static round-robin split keeps the partition independent
-                // of thread scheduling.
-                let mut k = t;
-                while k < reps {
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        let mut policy = make_policy();
-                        sim.run(trajectory, policy.as_mut(), base_seed + k as u64)
-                    }))
-                    .map_err(|payload| FleetError::WorkerPanic(panic_message(payload.as_ref())));
-                    results.lock().push((k, r));
-                    k += threads;
-                }
-            });
-        }
+    // Repetition k runs on thread k mod `threads` (a static split,
+    // independent of scheduling), and a panic is caught per repetition.
+    shard::map_ordered(reps, threads, |k| {
+        let mut policy = make_policy();
+        sim.run(trajectory, policy.as_mut(), base_seed + k as u64)
     })
-    // invariant: repetition panics are caught by the catch_unwind above,
-    // so a worker thread itself can never unwind.
-    .expect("monte-carlo workers do not panic");
-    let mut out = results.into_inner();
-    out.sort_by_key(|(k, _)| *k);
-    let mut runs = Vec::with_capacity(out.len());
-    for (_, r) in out {
-        runs.push(r?);
-    }
-    Ok(runs)
+    .into_iter()
+    .map(|run| run.map_err(FleetError::WorkerPanic))
+    .collect()
 }
 
 /// Aggregate a batch of runs.

@@ -121,6 +121,13 @@ pub enum ConfigError {
         /// The missing cell.
         cell: cellgeom::Axial,
     },
+    /// A plane or feature the chosen entry point cannot run.
+    Unsupported {
+        /// What was requested (e.g. "traffic plane").
+        what: &'static str,
+        /// The entry point that cannot run it, and why.
+        by: &'static str,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -154,6 +161,7 @@ impl fmt::Display for ConfigError {
             ConfigError::UnknownCell { what, cell } => {
                 write!(f, "{what} cell {cell:?} is not in the layout")
             }
+            ConfigError::Unsupported { what, by } => write!(f, "{what} is not supported by {by}"),
         }
     }
 }

@@ -5,13 +5,13 @@
 //!
 //! ```text
 //! cargo run --release --example fleet_scale -- --ues 1000000 --walks 1000 \
-//!     --candidate edge --precision compact
+//!     --candidate edge
 //! ```
 //!
 //! Flags (all optional): `--ues N` (default 100 000), `--walks N`
 //! (random-walk segments ≈ measurement steps per UE, default 1 000),
 //! `--workers N` (default 4), `--mode streamed|dense`, `--candidate
-//! all|nearest|edge`, `--precision full|compact`, `--seed N`.
+//! all|nearest|edge`, `--seed N`.
 //!
 //! Malformed input never panics: a bad flag prints the typed error plus
 //! the usage line and exits with status 2.
@@ -19,13 +19,13 @@
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::server::cli::{choice_flag, parse_flag, ArgError};
 use fuzzy_handover::sim::fleet::{
-    CandidateMode, FleetMobility, FleetPrecision, FleetSimulation, HomogeneousFleet, PolicyKind,
+    CandidateMode, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
 use fuzzy_handover::sim::SimConfig;
 use std::time::Instant;
 
 const USAGE: &str = "usage: fleet_scale [--ues N] [--walks N] [--workers N] [--seed N] \
-[--mode streamed|dense] [--candidate all|nearest|edge] [--precision full|compact]";
+[--mode streamed|dense] [--candidate all|nearest|edge]";
 
 #[derive(Clone, Copy)]
 enum RunMode {
@@ -63,20 +63,11 @@ fn run() -> Result<(), ArgError> {
         ],
         CandidateMode::EdgeSet { k: 7, margin_db: 6.0 },
     )?;
-    let precision = choice_flag(
-        &args,
-        "--precision",
-        &[("compact", FleetPrecision::Compact), ("full", FleetPrecision::Full)],
-        FleetPrecision::Compact,
-    )?;
 
     let mut cfg = SimConfig::paper_default();
     cfg.shadowing = ShadowingConfig::moderate();
     cfg.noise = MeasurementNoise::new(1.0);
-    let fleet = FleetSimulation::new(cfg)
-        .with_workers(workers)
-        .with_candidate_mode(candidate)
-        .with_precision(precision);
+    let fleet = FleetSimulation::new(cfg).with_workers(workers).with_candidate_mode(candidate);
     let spec = HomogeneousFleet {
         mobility: FleetMobility::RandomWalk(
             fuzzy_handover::mobility::RandomWalk::paper_default(walks),
@@ -92,7 +83,7 @@ fn run() -> Result<(), ArgError> {
     };
     println!(
         "fleet_scale: {n_ues} UEs × {walks} walk segments (~{} steps/UE), {workers} workers, \
-         {candidate:?}, {precision:?}, mode={mode_name}",
+         {candidate:?}, mode={mode_name}",
         (walks as f64 * 1.5) as u64
     );
     let t0 = Instant::now();

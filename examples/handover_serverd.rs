@@ -178,7 +178,6 @@ fn demo(opts: &Opts) -> Result<(), Box<dyn Error>> {
         .with_workers(opts.workers)
         .with_chunk_size(config.chunk_size)
         .with_candidate_mode(config.candidate_mode)
-        .with_precision(config.precision)
         .with_traffic(traffic);
     let ids: Vec<u64> = (0..opts.ues).collect();
     let spec = |policy| HomogeneousFleet {

@@ -20,12 +20,12 @@
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::server::{
     read_frame, serve, spawn_in_process, write_frame, Request, Response, ServerError, Session,
-    SessionConfig, TwinServer,
+    SessionConfig, SessionError, TwinServer,
 };
 use fuzzy_handover::sim::fleet::{
-    FleetMobility, FleetResult, FleetSimulation, HomogeneousFleet, PolicyKind,
+    CandidateMode, FleetMobility, FleetResult, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
-use fuzzy_handover::sim::{SimConfig, TrafficConfig};
+use fuzzy_handover::sim::{seal_payload, unseal_payload, ConfigError, SimConfig, TrafficConfig};
 use proptest::prelude::*;
 
 /// Shadowing + measurement noise so every per-UE RNG stream is live,
@@ -56,8 +56,7 @@ fn batch_engine(config: &SessionConfig, workers: usize) -> FleetSimulation {
     let mut engine = FleetSimulation::new(config.sim.clone())
         .with_workers(workers)
         .with_chunk_size(config.chunk_size)
-        .with_candidate_mode(config.candidate_mode)
-        .with_precision(config.precision);
+        .with_candidate_mode(config.candidate_mode);
     if let Some(traffic) = config.traffic {
         engine = engine.with_traffic(traffic);
     }
@@ -279,4 +278,65 @@ fn malformed_frame_answers_bad_request_and_keeps_serving() {
     assert!(matches!(second, Response::Sessions { ref sessions } if sessions.is_empty()));
     let third: Response = read_frame(&mut frames).unwrap().unwrap();
     assert!(matches!(third, Response::ShuttingDown));
+}
+
+/// An infinite (or NaN) `EdgeSet` margin cannot be written to JSON, so
+/// a session using it could be sealed but never hydrated: spawn rejects
+/// it with a typed error, while `Nearest(k)` (the persistable spelling
+/// of the infinite margin) and finite margins survive a seal/hydrate
+/// round trip.
+#[test]
+fn non_finite_edge_margins_are_rejected_at_spawn() {
+    for margin_db in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        let mut config = session_config(4, 3, 2);
+        config.candidate_mode = CandidateMode::EdgeSet { k: 7, margin_db };
+        let err = Session::spawn(config, 1).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SessionError::InvalidConfig(ConfigError::NotFinite { field: "edge margin", .. })
+            ),
+            "margin {margin_db}: {err:?}"
+        );
+    }
+    for mode in [CandidateMode::Nearest(7), CandidateMode::EdgeSet { k: 7, margin_db: 6.0 }] {
+        let mut config = session_config(4, 3, 2);
+        config.candidate_mode = mode;
+        let mut session = Session::spawn(config, 1).unwrap();
+        session.advance_to(3).unwrap();
+        let revived = Session::hydrate(&session.sealed(), 1).unwrap();
+        assert_eq!(revived.snapshot(), session.snapshot(), "{}", mode.label());
+    }
+}
+
+/// Sessions sealed, and `Spawn` frames written, by an older writer still
+/// carry the removed `"precision": "Full"` config key. The decoder skips
+/// unknown keys, so both still decode to the same session.
+#[test]
+fn configs_with_the_removed_precision_key_still_decode() {
+    let with_legacy_key = |json: &str| {
+        let legacy = json.replacen(
+            "\"candidate_mode\":",
+            "\"precision\":\"Full\",\"candidate_mode\":",
+            1,
+        );
+        assert_ne!(legacy, json, "the key went into the config");
+        legacy
+    };
+    let config = session_config(6, 9, 3);
+    let mut session = Session::spawn(config.clone(), 2).unwrap();
+    session.advance_to(4).unwrap();
+    let sealed = session.sealed();
+    let payload = std::str::from_utf8(unseal_payload(&sealed).unwrap()).unwrap();
+    let resealed = seal_payload(with_legacy_key(payload).as_bytes());
+    let revived = Session::hydrate(&resealed, 2).unwrap();
+    assert_eq!(revived.snapshot(), session.snapshot());
+
+    let mut frame: Vec<u8> = Vec::new();
+    write_frame(&mut frame, &Request::Spawn { config: Box::new(config.clone()) }).unwrap();
+    let legacy = with_legacy_key(std::str::from_utf8(&frame[4..]).unwrap());
+    let mut legacy_frame = (legacy.len() as u32).to_le_bytes().to_vec();
+    legacy_frame.extend_from_slice(legacy.as_bytes());
+    let decoded: Request = read_frame(&mut legacy_frame.as_slice()).unwrap().unwrap();
+    assert!(matches!(decoded, Request::Spawn { config: c } if *c == config));
 }
