@@ -9,7 +9,7 @@ use handover_sim::fleet::{ue_seed, FleetMobility, FleetSimulation, HomogeneousFl
 use handover_sim::traffic::{
     generate_sessions, replay_traffic, TrafficConfig, UeTrace, TRAFFIC_STREAM,
 };
-use handover_sim::SimConfig;
+use handover_sim::{DynamicsConfig, SimConfig};
 use mobility::RandomWalk;
 use radiolink::{MeasurementNoise, ShadowingConfig};
 use std::hint::black_box;
@@ -80,7 +80,9 @@ fn bench_erlang_replay_10k(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("replay", |b| {
         b.iter(|| {
-            let (report, field) = replay_traffic(&cfg, &cells, &traces, 0xE71A);
+            let (report, field, _) =
+                replay_traffic(&cfg, &cells, &traces, 0xE71A, &DynamicsConfig::none())
+                    .expect("valid traffic plane");
             if !checked.replace(true) {
                 let analytic = erlang_b(15.0, 20);
                 let empirical = report.blocking_probability();

@@ -289,7 +289,7 @@ impl CompiledBsRadio {
     ///
     /// The path-loss variant is dispatched once, and the block driver
     /// runs with a monomorphized (hence branch-free-interior) loss
-    /// closure. Each closure calls [`CompiledPathLoss::loss_db`] on the
+    /// closure. Each closure calls the private `CompiledPathLoss::loss_db` on the
     /// known variant, so there is exactly one source of truth for the
     /// loss expression.
     pub fn received_power_dbm_batch(&self, bs_pos: Vec2, ms_positions: &[Vec2], out: &mut [f64]) {

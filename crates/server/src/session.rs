@@ -547,9 +547,10 @@ impl Session {
 
     /// Rehydrate a sealed session. Total on arbitrary input: corrupt,
     /// truncated or foreign bytes surface as
-    /// [`SessionError::Corrupt`], never a panic; the embedded config
-    /// and fleet checkpoint are re-validated before the session is
-    /// accepted.
+    /// [`SessionError::Corrupt`], never a panic; the embedded config is
+    /// re-validated and the fleet checkpoint passes the same
+    /// [`FleetSimulation::check_checkpoint`] every resume runs (forged
+    /// trace cells or steps included) before the session is accepted.
     pub fn hydrate(bytes: &[u8], workers: usize) -> Result<Session, SessionError> {
         let payload = unseal_payload(bytes).map_err(SessionError::Corrupt)?;
         let text = std::str::from_utf8(payload)
@@ -564,14 +565,8 @@ impl Session {
         }
         snap.config.validated()?;
         if let Some(cp) = &snap.fleet {
-            cp.try_validate().map_err(SessionError::Corrupt)?;
-            let tracing = snap.config.traffic.is_some() || snap.config.dynamics.is_some();
-            if cp.tracing != tracing {
-                return Err(SessionError::Corrupt(CheckpointError::PlaneMismatch {
-                    checkpoint_tracing: cp.tracing,
-                    engine_tracing: tracing,
-                }));
-            }
+            let engine = snap.config.engine(workers.max(1));
+            engine.check_checkpoint(cp).map_err(SessionError::Corrupt)?;
         }
         let ids: Vec<u64> = (0..snap.config.n_ues).collect();
         Ok(Session {

@@ -397,15 +397,6 @@ impl FleetCheckpoint {
         Ok(())
     }
 
-    /// Panic with a clear message if the snapshot cannot have come from
-    /// a compatible engine (wrong version).
-    #[deprecated(since = "0.9.0", note = "use try_validate() and handle CheckpointError")]
-    pub fn validate(&self) {
-        if let Err(err) = self.try_validate() {
-            panic!("{err}");
-        }
-    }
-
     /// Seal the snapshot into the checksummed container format:
     /// [`SEALED_MAGIC`] + container version + payload length + FNV-1a
     /// payload checksum + the canonical (shard-invariant, UE-id-sorted)
@@ -530,13 +521,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "version")]
-    #[allow(deprecated)]
-    fn deprecated_validate_shim_still_panics() {
-        empty_checkpoint(CHECKPOINT_VERSION + 1).validate();
     }
 
     #[test]

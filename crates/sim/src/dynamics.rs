@@ -14,6 +14,7 @@
 //! output.
 
 use crate::fleet::ue_seed;
+use crate::resilience::{require_finite, require_in_range, require_positive, ConfigError};
 use crate::traffic::exp_sample;
 use cellgeom::Axial;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -66,17 +67,9 @@ pub struct ChurnConfig {
 }
 
 impl ChurnConfig {
-    /// Validate the configuration, panicking with a descriptive message
-    /// on nonsense values.
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`ChurnConfig::validate`].
-    pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
-        use crate::resilience::{require_positive, ConfigError};
+    /// Typed validation: a horizon of at least one step and a finite
+    /// positive mean lifetime.
+    pub fn validated(&self) -> Result<(), ConfigError> {
         if self.horizon_steps < 1 {
             return Err(ConfigError::TooSmall {
                 field: "churn horizon (steps)",
@@ -140,16 +133,9 @@ pub struct TidalWave {
 }
 
 impl TidalWave {
-    /// Validate the configuration.
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`TidalWave::validate`].
-    pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
-        use crate::resilience::{require_finite, require_in_range, ConfigError};
+    /// Typed validation: a period of at least one step, an amplitude in
+    /// `[0, 1]` and a finite phase shift.
+    pub fn validated(&self) -> Result<(), ConfigError> {
         if self.period_steps < 1 {
             return Err(ConfigError::TooSmall {
                 field: "tidal period (steps)",
@@ -195,17 +181,10 @@ pub struct CellOutage {
 }
 
 impl CellOutage {
-    /// Validate the outage window.
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`CellOutage::validate`].
-    pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
+    /// Typed validation: the outage window must be non-empty.
+    pub fn validated(&self) -> Result<(), ConfigError> {
         if self.from_step >= self.until_step {
-            return Err(crate::resilience::ConfigError::InvertedWindow {
+            return Err(ConfigError::InvertedWindow {
                 field: "outage",
                 from: self.from_step,
                 until: self.until_step,
@@ -234,16 +213,8 @@ pub struct ServiceParams {
 }
 
 impl ServiceParams {
-    /// Validate the parameters.
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`ServiceParams::validate`].
-    pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
-        use crate::resilience::require_positive;
+    /// Typed validation: finite positive idle and holding means.
+    pub fn validated(&self) -> Result<(), ConfigError> {
         require_positive("mean idle time", self.mean_idle_steps)?;
         require_positive("mean holding time", self.mean_holding_steps)?;
         Ok(())
@@ -266,16 +237,10 @@ pub struct ServiceMix {
 }
 
 impl ServiceMix {
-    /// Validate the mix.
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`ServiceMix::validate`].
-    pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
-        crate::resilience::require_in_range("voice share", self.voice_share, 0.0, 1.0)?;
+    /// Typed validation: a voice share in `[0, 1]` and valid per-class
+    /// parameters.
+    pub fn validated(&self) -> Result<(), ConfigError> {
+        require_in_range("voice share", self.voice_share, 0.0, 1.0)?;
         self.voice.validated()?;
         self.data.validated()?;
         Ok(())
@@ -332,16 +297,9 @@ impl DynamicsConfig {
         DynamicsConfig { churn: None, tide: None, failures: Vec::new(), services: None }
     }
 
-    /// Validate every configured feature.
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`DynamicsConfig::validate`]: the first defect of
-    /// any configured feature, as a value.
-    pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
+    /// Typed validation of every configured feature: the first defect,
+    /// as a value.
+    pub fn validated(&self) -> Result<(), ConfigError> {
         if let Some(churn) = &self.churn {
             churn.validated()?;
         }
@@ -412,7 +370,7 @@ mod tests {
     #[test]
     fn churn_windows_are_deterministic_and_in_range() {
         let c = churn();
-        c.validate();
+        assert_eq!(c.validated(), Ok(()));
         for id in 0..200 {
             let (a1, l1) = c.window(0xABCD, id);
             let (a2, l2) = c.window(0xABCD, id);
@@ -457,7 +415,7 @@ mod tests {
     #[test]
     fn tide_intensity_wave_shape() {
         let t = TidalWave { period_steps: 100, amplitude: 0.5, phase_per_q: 0.25 };
-        t.validate();
+        assert_eq!(t.validated(), Ok(()));
         // Peak at a quarter period (sin = 1), trough at three quarters.
         assert!((t.intensity(25, 0) - 1.5).abs() < 1e-9);
         assert!((t.intensity(75, 0) - 0.5).abs() < 1e-9);
@@ -477,7 +435,7 @@ mod tests {
     #[test]
     fn outage_window_membership() {
         let o = CellOutage { cell: Axial::ORIGIN, from_step: 10, until_step: 20 };
-        o.validate();
+        assert_eq!(o.validated(), Ok(()));
         assert!(!o.is_down_at(9));
         assert!(o.is_down_at(10));
         assert!(o.is_down_at(19));
@@ -485,9 +443,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-empty")]
     fn empty_outage_window_rejected() {
-        CellOutage { cell: Axial::ORIGIN, from_step: 5, until_step: 5 }.validate();
+        let err = CellOutage { cell: Axial::ORIGIN, from_step: 5, until_step: 5 }
+            .validated()
+            .unwrap_err();
+        assert!(err.to_string().contains("non-empty"), "{err}");
     }
 
     #[test]
@@ -505,7 +465,7 @@ mod tests {
                 extra_guard_channels: 1,
             },
         };
-        mix.validate();
+        assert_eq!(mix.validated(), Ok(()));
         let n = 5000u64;
         let voice = (0..n)
             .filter(|&id| mix.class_of(0xF00D, id) == ServiceClass::Voice)

@@ -4,11 +4,11 @@
 //! ## Architecture
 //!
 //! * **Struct-of-arrays UE store** — each worker holds its chunk of UEs
-//!   as parallel vectors (trajectory cursor, [`UeState`] with position /
+//!   as parallel vectors (trajectory cursor, engine state with position /
 //!   serving cell / smoother + shadowing state, policy, tally), never the
 //!   whole fleet, so memory stays proportional to
-//!   `workers × chunk_size`, not to the fleet size. Retired [`UeState`]s
-//!   are recycled through a per-worker arena ([`UeState::reset`] reuses
+//!   `workers × chunk_size`, not to the fleet size. Retired UE states
+//!   are recycled through a per-worker arena (a reset reuses
 //!   every allocation), so a million-UE run performs a bounded number of
 //!   state allocations.
 //! * **Compiled measurement plane** — per measurement step the mean path
@@ -56,7 +56,7 @@ use crate::dynamics::DynamicsConfig;
 use crate::engine::{SimConfig, Simulation, UeState};
 use crate::resilience::{ConfigError, FaultInjector};
 use crate::shard;
-use crate::traffic::{replay_traffic, replay_traffic_dynamic, TrafficConfig, UeTrace};
+use crate::traffic::{replay_traffic, TrafficConfig, UeTrace};
 use cellgeom::Axial;
 use fuzzylogic::{CompiledFis, EvalScratch};
 use handover_core::baselines::{
@@ -872,9 +872,15 @@ impl FleetSimulation {
     /// suite `tests/traffic_diff.rs` pins this); with it, the engine
     /// runs a second pass whose policies see the first pass's occupancy
     /// timeline.
+    ///
+    /// # Panics
+    ///
+    /// If `traffic` fails [`TrafficConfig::validated`].
     #[must_use]
     pub fn with_traffic(mut self, traffic: TrafficConfig) -> Self {
-        traffic.validate();
+        if let Err(err) = traffic.validated() {
+            panic!("{err}");
+        }
         self.traffic = Some(traffic);
         self
     }
@@ -895,18 +901,29 @@ impl FleetSimulation {
     /// [`FleetResult::dynamics`]; tide and service classes only shape
     /// the *traffic* replay, so they additionally need
     /// [`FleetSimulation::with_traffic`] to have any observable effect.
+    ///
+    /// # Panics
+    ///
+    /// If `dynamics` fails [`DynamicsConfig::validated`] or names an
+    /// outage cell outside the layout.
     #[must_use]
     pub fn with_dynamics(mut self, dynamics: DynamicsConfig) -> Self {
-        dynamics.validate();
-        for outage in &dynamics.failures {
-            assert!(
-                self.sim.config().layout.cells().contains(&outage.cell),
-                "outage cell {:?} is not in the layout",
-                outage.cell
-            );
+        if let Err(err) = self.validate_dynamics(&dynamics) {
+            panic!("{err}");
         }
         self.dynamics = dynamics.normalized();
         self
+    }
+
+    /// A dynamics plane's own validation plus every outage cell's
+    /// membership in this engine's layout.
+    fn validate_dynamics(&self, dynamics: &DynamicsConfig) -> Result<(), ConfigError> {
+        dynamics.validated()?;
+        let cells = self.sim.config().layout.cells();
+        match dynamics.failures.iter().find(|o| !cells.contains(&o.cell)) {
+            Some(outage) => Err(ConfigError::UnknownCell { what: "outage", cell: outage.cell }),
+            None => Ok(()),
+        }
     }
 
     /// The attached dynamic-workload plane, if any (`None` also when an
@@ -933,12 +950,7 @@ impl FleetSimulation {
             traffic.validated()?;
         }
         if let Some(dynamics) = &self.dynamics {
-            dynamics.validated()?;
-            for outage in &dynamics.failures {
-                if !self.sim.config().layout.cells().contains(&outage.cell) {
-                    return Err(ConfigError::UnknownCell { what: "outage", cell: outage.cell });
-                }
-            }
+            self.validate_dynamics(dynamics)?;
         }
         Ok(())
     }
@@ -1040,35 +1052,34 @@ impl FleetSimulation {
     /// completion. The engine must be configured like the one that took
     /// the snapshot (same [`SimConfig`], candidate mode and traffic
     /// plane — worker count and chunk size are free); the spec
-    /// must be the same deterministic population. Panics if the snapshot
-    /// version or tracing mode does not match.
+    /// must be the same deterministic population. An invalid plane
+    /// surfaces as [`FleetError::InvalidConfig`], and an incompatible or
+    /// invalid snapshot ([`FleetSimulation::check_checkpoint`]) as
+    /// [`FleetError::CorruptCheckpoint`].
     pub fn resume(
-        &self,
-        spec: &dyn UeSpec,
-        cp: &FleetCheckpoint,
-    ) -> Result<FleetResult, FleetError> {
-        if let Err(err) = self.check_checkpoint(cp) {
-            panic!("{err}");
-        }
-        self.resume_inner(spec, cp)
-    }
-
-    /// Fully fallible form of [`FleetSimulation::resume`]: an
-    /// incompatible or invalid snapshot surfaces as
-    /// [`FleetError::CorruptCheckpoint`] instead of a panic.
-    pub fn try_resume(
         &self,
         spec: &dyn UeSpec,
         cp: &FleetCheckpoint,
     ) -> Result<FleetResult, FleetError> {
         self.validate_planes()?;
         self.check_checkpoint(cp)?;
-        self.resume_inner(spec, cp)
+        let (out, cell_load) = self.resume_pass(spec, cp, None)?;
+        debug_assert!(out.live.is_empty());
+        let ids: Vec<u64> = out.outcomes.iter().map(|o| o.ue_id).collect();
+        let result = assemble(out.outcomes, cell_load);
+        self.apply_traffic(spec, &ids, cp.base_seed, result, out.traces)
     }
 
-    /// Snapshot-vs-engine compatibility: version + shape invariants
-    /// ([`FleetCheckpoint::try_validate`]) and the tracing plane.
-    pub(crate) fn check_checkpoint(&self, cp: &FleetCheckpoint) -> Result<(), CheckpointError> {
+    /// Snapshot-vs-engine compatibility, run by every resume path before
+    /// any worker starts: version + shape invariants
+    /// ([`FleetCheckpoint::try_validate`]), the tracing plane, and the
+    /// serving-cell traces against this engine's layout — finished
+    /// traces strictly ascending by UE id, and in every finished or live
+    /// trace each change point names a layout cell, change steps
+    /// strictly ascend below the trace's step count, and that count
+    /// never passes the snapshot's step. A forged trace is rejected here
+    /// instead of indexing out of bounds in the traffic replay.
+    pub fn check_checkpoint(&self, cp: &FleetCheckpoint) -> Result<(), CheckpointError> {
         cp.try_validate()?;
         let engine_tracing = self.traffic.is_some() || self.dynamics.is_some();
         if cp.tracing != engine_tracing {
@@ -1077,19 +1088,32 @@ impl FleetSimulation {
                 engine_tracing,
             });
         }
+        if !cp.finished_traces.windows(2).all(|w| w[0].ue_id < w[1].ue_id) {
+            return Err(CheckpointError::ShapeMismatch(
+                "finished traces are not strictly ascending by UE id".into(),
+            ));
+        }
+        let n_cells = self.config().layout.cells().len();
+        let finished = cp.finished_traces.iter().map(|t| (t.ue_id, t.steps, &t.changes));
+        let live = cp.live.iter().map(|ue| (ue.ue_id, ue.trace_steps, &ue.trace_changes));
+        for (ue_id, steps, changes) in finished.chain(live) {
+            let bad = |what: String| {
+                CheckpointError::ShapeMismatch(format!("trace of UE {ue_id}: {what}"))
+            };
+            if steps > cp.step {
+                return Err(bad(format!("{steps} steps past the snapshot step {}", cp.step)));
+            }
+            if let Some(&(_, cell)) = changes.iter().find(|&&(_, c)| c as usize >= n_cells) {
+                return Err(bad(format!("cell {cell} out of {n_cells} cells")));
+            }
+            let ascending = changes.windows(2).all(|w| w[0].0 < w[1].0);
+            if !ascending || changes.last().is_some_and(|&(s, _)| s >= steps) {
+                return Err(bad(format!(
+                    "change steps are not strictly ascending below {steps}"
+                )));
+            }
+        }
         Ok(())
-    }
-
-    fn resume_inner(
-        &self,
-        spec: &dyn UeSpec,
-        cp: &FleetCheckpoint,
-    ) -> Result<FleetResult, FleetError> {
-        let (out, cell_load) = self.resume_pass(spec, cp, None)?;
-        debug_assert!(out.live.is_empty());
-        let ids: Vec<u64> = out.outcomes.iter().map(|o| o.ue_id).collect();
-        let result = assemble(out.outcomes, cell_load);
-        self.apply_traffic(spec, &ids, cp.base_seed, result, out.traces)
     }
 
     /// The pass behind every resume: step `cp`'s live UEs (up to
@@ -1225,25 +1249,17 @@ impl FleetSimulation {
         mut result: FleetResult,
         mut traces: Vec<UeTrace>,
     ) -> Result<FleetResult, FleetError> {
-        if self.dynamics.is_some() {
-            result.dynamics = Some(dynamic_report(&traces, &result.cell_load, None));
-        }
         let Some(traffic) = &self.traffic else {
+            if self.dynamics.is_some() {
+                result.dynamics = Some(dynamic_report(&traces, &result.cell_load, None));
+            }
             return Ok(result);
         };
         let cells = self.config().layout.cells();
-        let replay = |traces: &[UeTrace]| match &self.dynamics {
-            None => {
-                let (report, field) = replay_traffic(traffic, cells, traces, base_seed);
-                (report, field, None)
-            }
-            Some(dynamics) => {
-                let (report, field, stats) =
-                    replay_traffic_dynamic(traffic, cells, traces, base_seed, dynamics);
-                (report, field, Some(stats))
-            }
-        };
-        let (mut report, field, mut stats) = replay(&traces);
+        let none = DynamicsConfig::none();
+        let dynamics = self.dynamics.as_ref().unwrap_or(&none);
+        let replay = |traces: &[UeTrace]| replay_traffic(traffic, cells, traces, base_seed, dynamics);
+        let (mut report, field, mut stats) = replay(&traces)?;
         if traffic.load_feedback {
             let field = Arc::new(field);
             let (fed, fed_load) = self.pass::<Collected>(
@@ -1254,13 +1270,13 @@ impl FleetSimulation {
                 Some(&field),
                 None,
             )?;
-            (report, _, stats) = replay(&fed.traces);
+            (report, _, stats) = replay(&fed.traces)?;
             result = assemble(fed.outcomes, fed_load);
             traces = fed.traces;
         }
         result.traffic = Some(report);
         if self.dynamics.is_some() {
-            result.dynamics = Some(dynamic_report(&traces, &result.cell_load, stats));
+            result.dynamics = Some(dynamic_report(&traces, &result.cell_load, Some(stats)));
         }
         Ok(result)
     }
@@ -1319,6 +1335,9 @@ impl FleetSimulation {
             }
             (sink, load)
         });
+        if let Some(injector) = &self.fault {
+            injector.end_pass();
+        }
 
         let mut cell_load = CellLoadHistogram::new(cells.iter().copied());
         let mut sinks = Vec::with_capacity(workers);
@@ -1514,8 +1533,9 @@ impl FleetSimulation {
         let mut step = start_step;
         loop {
             // Chaos harness: fire any scripted stall/panic scheduled at
-            // this lockstep step (one-shot, first worker wins; see
-            // crate::resilience). `None` in production — no cost.
+            // this lockstep step (every shard that gets there, used up
+            // when the pass ends; see crate::resilience). `None` in
+            // production — no cost.
             if let Some(injector) = &self.fault {
                 injector.check_step(step);
             }
@@ -2608,14 +2628,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tracing")]
     fn resume_rejects_mismatched_traffic_plane() {
         let spec = fuzzy_walk_spec(1);
         let ids: Vec<u64> = (0..4).collect();
         let cp = FleetSimulation::new(noisy_config()).run_partial(&spec, &ids, 2, 3).unwrap();
-        let _ = FleetSimulation::new(noisy_config())
+        let err = FleetSimulation::new(noisy_config())
             .with_traffic(demo_traffic())
-            .resume(&spec, &cp);
+            .resume(&spec, &cp)
+            .unwrap_err();
+        assert!(
+            matches!(err, FleetError::CorruptCheckpoint(CheckpointError::PlaneMismatch { .. })),
+            "{err:?}"
+        );
     }
 
     #[test]

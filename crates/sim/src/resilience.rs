@@ -7,14 +7,16 @@
 //!
 //! * [`ConfigError`] is the typed form of every configuration
 //!   validation in the workspace — NaN sigmas, zero capacities and
-//!   inverted windows surface as values instead of panics (the
-//!   panicking `validate()` facades now delegate to the typed
-//!   `validated()` methods and preserve their legacy messages).
+//!   inverted windows surface as values instead of panics. The only
+//!   validation API is the typed `validated()`; the builders that
+//!   document a panic (`TrafficConfig::erlang`,
+//!   `FleetSimulation::with_traffic`/`with_dynamics`) call it inline.
 //! * [`FaultPlan`] / [`FaultInjector`] script faults — a worker panic
 //!   at a lockstep step, a forced allocation failure in the arena grow
 //!   path, a stalled worker, a flipped checkpoint byte — that fire
-//!   **deterministically**: each fault triggers exactly once, at a
-//!   step that does not depend on worker count, chunk size or thread
+//!   **deterministically**: each fault is used up by exactly one fleet
+//!   pass, and which shards it hits depends only on the plan, the
+//!   worker and chunk shape and the UE ids, never on thread
 //!   scheduling, so chaos runs are exactly reproducible.
 //! * [`FleetSimulation::run_supervised`] runs a fleet under a
 //!   [`RetryPolicy`]: periodic checkpointing on a step cadence,
@@ -50,10 +52,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub const FAULT_STREAM: u64 = 0x6661_756C_7473_2121;
 
 /// A typed configuration defect. Every `validated()` method in the
-/// workspace returns one of these instead of panicking; the legacy
-/// panicking `validate()` facades delegate to them, so their messages
-/// (and the `#[should_panic]` tests pinning those messages) are
-/// unchanged.
+/// workspace returns one of these instead of panicking; the builders
+/// that document a panic format it as their message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// A field that must be finite is NaN or infinite.
@@ -209,30 +209,31 @@ pub(crate) fn require_in_range(
     }
 }
 
-/// One scripted fault. Faults are *one-shot*: each fires exactly once
-/// per [`FaultInjector`], at a deterministic point of the run, and the
-/// retried segment then completes cleanly — which is what makes every
-/// fault here *recoverable* and the supervised result bit-identical to
-/// the clean run.
+/// One scripted fault. Faults are *one-shot*: each fires in exactly one
+/// fleet pass per [`FaultInjector`] — the first pass that reaches its
+/// step — and the retried segment then completes cleanly, which is what
+/// makes every fault here *recoverable* and the supervised result
+/// bit-identical to the clean run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Fault {
-    /// Panic the first worker that steps lockstep step `at_step`
-    /// (whole-worker-shard loss; the pass surfaces
-    /// [`FleetError::WorkerPanic`]).
+    /// Panic every worker that steps lockstep step `at_step` in the
+    /// pass that first reaches it (whole-worker-shard loss; the pass
+    /// surfaces the lowest failing shard's [`FleetError::WorkerPanic`]).
     WorkerPanic {
         /// Lockstep step at which the panic fires.
         at_step: u64,
     },
     /// Panic inside the dense measurement arena's grow path at
-    /// `at_step`, simulating an allocation failure while resizing the
-    /// `cells × chunk` RSS matrix. Inert under the pruned candidate
-    /// modes (they never grow that matrix).
+    /// `at_step` (every worker that gets there, like
+    /// [`Fault::WorkerPanic`]), simulating an allocation failure while
+    /// resizing the `cells × chunk` RSS matrix. Inert under the pruned
+    /// candidate modes (they never grow that matrix).
     AllocFailure {
         /// Lockstep step at which the forced allocation failure fires.
         at_step: u64,
     },
-    /// Charge `delay_steps` of *virtual* wall-clock delay to the worker
-    /// that steps `at_step` first. The supervisor's watchdog compares
+    /// Charge `delay_steps` of *virtual* wall-clock delay, once, to the
+    /// pass that first steps `at_step`. The supervisor's watchdog compares
     /// the accumulated delay of each segment against
     /// [`RetryPolicy::stall_deadline_steps`] and treats an over-deadline
     /// segment as failed ([`FleetError::WorkerStalled`]).
@@ -304,19 +305,60 @@ impl FaultPlan {
     }
 }
 
+/// One scripted trigger of a [`FaultInjector`]. During a fleet pass
+/// only `hit` is written; `fired` changes only when the pass ends
+/// ([`FaultInjector::end_pass`]), so every shard of a pass sees the same
+/// set of unfired faults whatever the thread timing. Both flags publish
+/// no other data, and `fired` is written only between passes, where
+/// spawning and joining the workers orders it against their reads, so
+/// `Relaxed` suffices.
+#[derive(Debug)]
+struct Trigger {
+    /// The lockstep step (or snapshot index) the fault is scheduled at.
+    at: u64,
+    /// Reached by some shard in the current pass.
+    hit: AtomicBool,
+    /// Used up by an earlier pass.
+    fired: AtomicBool,
+}
+
+impl Trigger {
+    fn new(at: u64) -> Self {
+        Trigger { at, hit: AtomicBool::new(false), fired: AtomicBool::new(false) }
+    }
+
+    /// `None` unless the trigger is due at `at` and no earlier pass used
+    /// it up; otherwise whether this is the pass's first hit.
+    fn hit_at(&self, at: u64) -> Option<bool> {
+        (self.at == at && !self.fired.load(Ordering::Relaxed))
+            .then(|| !self.hit.swap(true, Ordering::Relaxed))
+    }
+
+    fn commit(&self) {
+        if self.hit.swap(false, Ordering::Relaxed) {
+            self.fired.store(true, Ordering::Relaxed);
+        }
+    }
+
+    fn spent(&self) -> bool {
+        self.fired.load(Ordering::Relaxed) || self.hit.load(Ordering::Relaxed)
+    }
+}
+
 /// Armed runtime form of a [`FaultPlan`]: lock-free one-shot triggers
-/// the fleet engine's hot loop consults (two relaxed atomic loads per
+/// the fleet engine's hot loop consults (one relaxed atomic load per
 /// scheduled fault per step — zero cost when no injector is attached).
 #[derive(Debug, Default)]
 pub struct FaultInjector {
-    /// `(at_step, fired)` worker-panic triggers.
-    panics: Vec<(u64, AtomicBool)>,
-    /// `(at_step, fired)` arena-grow allocation-failure triggers.
-    alloc_failures: Vec<(u64, AtomicBool)>,
-    /// `(at_step, delay_steps, fired)` stall triggers.
-    stalls: Vec<(u64, u64, AtomicBool)>,
-    /// `(at_snapshot, byte_offset, fired)` snapshot-corruption triggers.
-    corruptions: Vec<(u64, u64, AtomicBool)>,
+    /// Worker-panic triggers.
+    panics: Vec<Trigger>,
+    /// Arena-grow allocation-failure triggers.
+    alloc_failures: Vec<Trigger>,
+    /// `(trigger, delay_steps)` stall triggers.
+    stalls: Vec<(Trigger, u64)>,
+    /// `(trigger on the snapshot index, byte_offset)` corruption
+    /// triggers.
+    corruptions: Vec<(Trigger, u64)>,
     /// Virtual delay accumulated since the last watchdog read.
     stall_steps: AtomicU64,
 }
@@ -326,65 +368,60 @@ impl FaultInjector {
         let mut inj = FaultInjector::default();
         for fault in &plan.faults {
             match *fault {
-                Fault::WorkerPanic { at_step } => {
-                    inj.panics.push((at_step, AtomicBool::new(false)));
-                }
-                Fault::AllocFailure { at_step } => {
-                    inj.alloc_failures.push((at_step, AtomicBool::new(false)));
-                }
+                Fault::WorkerPanic { at_step } => inj.panics.push(Trigger::new(at_step)),
+                Fault::AllocFailure { at_step } => inj.alloc_failures.push(Trigger::new(at_step)),
                 Fault::StallWorker { at_step, delay_steps } => {
-                    inj.stalls.push((at_step, delay_steps, AtomicBool::new(false)));
+                    inj.stalls.push((Trigger::new(at_step), delay_steps));
                 }
                 Fault::CorruptCheckpoint { at_snapshot, byte_offset } => {
-                    inj.corruptions.push((at_snapshot, byte_offset, AtomicBool::new(false)));
+                    inj.corruptions.push((Trigger::new(at_snapshot), byte_offset));
                 }
             }
         }
         inj
     }
 
-    /// Step hook, called once per (worker, chunk, lockstep step). Fires
-    /// pending stalls (accumulating virtual delay) and worker panics
-    /// scheduled at `step`; the compare-exchange makes each fault
-    /// one-shot even when several workers reach the step concurrently.
+    /// Step hook, called once per (worker, chunk, lockstep step). A
+    /// stall due at `step` charges its virtual delay once per pass; a
+    /// worker panic due at `step` fires in every shard that reaches it
+    /// during the pass, so the lowest failing shard does not depend on
+    /// which thread got there first.
     pub(crate) fn check_step(&self, step: u64) {
-        for (at, delay, fired) in &self.stalls {
-            if *at == step
-                && fired.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed).is_ok()
-            {
+        for (trigger, delay) in &self.stalls {
+            if trigger.hit_at(step) == Some(true) {
                 self.stall_steps.fetch_add(*delay, Ordering::Relaxed);
             }
         }
-        for (at, fired) in &self.panics {
-            if *at == step
-                && fired.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed).is_ok()
-            {
-                panic!("injected fault: worker panic at step {step}");
-            }
+        if self.panics.iter().any(|t| t.hit_at(step).is_some()) {
+            panic!("injected fault: worker panic at step {step}");
         }
     }
 
     /// Arena-grow hook, called from the dense measurement path just
     /// before the `cells × chunk` RSS matrix is (re)sized.
     pub(crate) fn check_arena_grow(&self, step: u64) {
-        for (at, fired) in &self.alloc_failures {
-            if *at == step
-                && fired.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed).is_ok()
-            {
-                panic!("injected fault: arena allocation failure at step {step}");
-            }
+        if self.alloc_failures.iter().any(|t| t.hit_at(step).is_some()) {
+            panic!("injected fault: arena allocation failure at step {step}");
+        }
+    }
+
+    /// Pass-end hook: every fault some shard hit during the pass is
+    /// used up, so later passes (the retries) run past it.
+    pub(crate) fn end_pass(&self) {
+        let stalls = self.stalls.iter().map(|(t, _)| t);
+        for trigger in self.panics.iter().chain(&self.alloc_failures).chain(stalls) {
+            trigger.commit();
         }
     }
 
     /// Apply any scheduled corruption to the `snapshot_index`-th sealed
-    /// snapshot bytes. Returns `true` if a byte was flipped.
+    /// snapshot bytes. Returns `true` if a byte was flipped. Runs
+    /// outside any pass, so each corruption is used up at once.
     pub fn corrupt_snapshot(&self, snapshot_index: u64, bytes: &mut [u8]) -> bool {
         let mut hit = false;
-        for (at, offset, fired) in &self.corruptions {
-            if *at == snapshot_index
-                && !bytes.is_empty()
-                && fired.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed).is_ok()
-            {
+        for (trigger, offset) in &self.corruptions {
+            if !bytes.is_empty() && trigger.hit_at(snapshot_index).is_some() {
+                trigger.commit();
                 let idx = (*offset % bytes.len() as u64) as usize;
                 bytes[idx] ^= 0xFF;
                 hit = true;
@@ -399,12 +436,13 @@ impl FaultInjector {
         self.stall_steps.swap(0, Ordering::Relaxed)
     }
 
-    /// Whether every scripted fault has fired.
+    /// Whether every scripted fault has fired (in an ended pass or the
+    /// current one).
     pub fn exhausted(&self) -> bool {
-        self.panics.iter().all(|(_, f)| f.load(Ordering::Relaxed))
-            && self.alloc_failures.iter().all(|(_, f)| f.load(Ordering::Relaxed))
-            && self.stalls.iter().all(|(_, _, f)| f.load(Ordering::Relaxed))
-            && self.corruptions.iter().all(|(_, _, f)| f.load(Ordering::Relaxed))
+        self.panics.iter().all(Trigger::spent)
+            && self.alloc_failures.iter().all(Trigger::spent)
+            && self.stalls.iter().all(|(t, _)| t.spent())
+            && self.corruptions.iter().all(|(t, _)| t.spent())
     }
 }
 
@@ -780,7 +818,7 @@ impl Supervisor {
         loop {
             self.advance_to(spec, ids, base_seed, u64::MAX)?;
             let cp = self.current.as_ref().expect("advance_to leaves a checkpoint");
-            let attempt = self.engine.try_resume(spec, cp).map(Box::new);
+            let attempt = self.engine.resume(spec, cp).map(Box::new);
             match self.watchdog(attempt) {
                 Ok(result) => {
                     self.report.segments += 1;
@@ -874,7 +912,8 @@ mod tests {
         let inj = plan.injector();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inj.check_step(5)));
         assert!(err.is_err(), "scheduled step panics");
-        inj.check_step(5); // second arrival: already fired, no panic
+        inj.end_pass();
+        inj.check_step(5); // a later pass: already fired, no panic
         assert!(inj.exhausted());
     }
 
@@ -891,9 +930,27 @@ mod tests {
     }
 
     #[test]
+    fn same_pass_hits_all_panic_and_the_pass_end_uses_the_fault_up() {
+        let plan = FaultPlan::scripted(vec![
+            Fault::WorkerPanic { at_step: 2 },
+            Fault::StallWorker { at_step: 2, delay_steps: 7 },
+        ]);
+        let inj = plan.injector();
+        for _shard in 0..3 {
+            let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inj.check_step(2)));
+            assert!(hit.is_err(), "every shard reaching the step panics");
+        }
+        assert_eq!(inj.take_stall_steps(), 7, "the stall charges once per pass");
+        inj.end_pass();
+        inj.check_step(2);
+        assert_eq!(inj.take_stall_steps(), 0);
+        assert!(inj.exhausted());
+    }
+
+    #[test]
     fn config_error_messages_keep_legacy_phrases() {
-        // The panicking validate() facades preserve their historical
-        // messages through these Display strings.
+        // The builders that document a panic (and the server's error
+        // frames) print these Display strings.
         let msg = ConfigError::NonPositive { field: "sample spacing", value: 0.0 }.to_string();
         assert!(msg.contains("sample spacing must be positive"), "{msg}");
         let msg =

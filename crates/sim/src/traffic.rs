@@ -29,6 +29,15 @@
 //! UE's serving cell changed — is admitted whenever any channel is free;
 //! if the target cell is full the call is **dropped**.
 //!
+//! ## One replay for every workload
+//!
+//! [`replay_traffic`] is the only admission replay. A static plane runs
+//! it with [`DynamicsConfig::none()`]; a dynamic-workload plane
+//! ([`crate::dynamics`]) adds service classes, tidal arrival rates,
+//! churn-delayed arrivals and cell outages to the same timeline walk,
+//! and each feature switched off reduces to the static accounting bit
+//! for bit.
+//!
 //! ## Determinism and the replay split
 //!
 //! The fleet engine steps UEs in sharded chunks with no global step
@@ -49,6 +58,7 @@
 
 use crate::dynamics::{DynamicsConfig, TidalWave};
 use crate::fleet::ue_seed;
+use crate::resilience::{require_positive, ConfigError};
 use cellgeom::Axial;
 use handover_core::{
     CellTraffic, ClassTraffic, DynamicTrafficStats, LoadField, ServiceClass, TrafficReport,
@@ -90,6 +100,11 @@ impl TrafficConfig {
     /// long-run fraction of time a source is in a call,
     /// `h / (i + h) ∈ (0, 1)`) with the given holding time: the idle
     /// mean is derived as `i = h·(1 − a)/a`.
+    ///
+    /// # Panics
+    ///
+    /// If the load lies outside `(0, 1)` or the result fails
+    /// [`TrafficConfig::validated`].
     pub fn erlang(
         channels_per_cell: u32,
         guard_channels: u32,
@@ -107,23 +122,15 @@ impl TrafficConfig {
             mean_holding_steps,
             load_feedback: false,
         };
-        cfg.validate();
+        if let Err(err) = cfg.validated() {
+            panic!("{err}");
+        }
         cfg
     }
 
-    /// Panic on invalid parameters (constructors and engines call this).
-    pub fn validate(&self) {
-        if let Err(err) = self.validated() {
-            panic!("{err}");
-        }
-    }
-
-    /// Typed form of [`TrafficConfig::validate`]: at least one channel
-    /// per cell, guard channels strictly below capacity, and finite
-    /// positive idle/holding means (NaN used to slip through the
-    /// panicking asserts).
-    pub fn validated(&self) -> Result<(), crate::resilience::ConfigError> {
-        use crate::resilience::{require_positive, ConfigError};
+    /// Typed validation: at least one channel per cell, guard channels
+    /// strictly below capacity, and finite positive idle/holding means.
+    pub fn validated(&self) -> Result<(), ConfigError> {
         if self.channels_per_cell < 1 {
             return Err(ConfigError::TooSmall {
                 field: "channels per cell (a cell needs at least one channel)",
@@ -205,10 +212,10 @@ pub fn generate_sessions(cfg: &TrafficConfig, seed: u64, horizon_steps: usize) -
     generate_sessions_with(cfg.mean_idle_steps, cfg.mean_holding_steps, seed, horizon_steps)
 }
 
-/// [`generate_sessions`] with explicit idle/holding means: the dynamic
-/// replay substitutes per-service-class means while keeping the draw
-/// sequence of the base plane (so a degenerate single-class mix with
-/// the base means reproduces the static sessions bit-for-bit).
+/// [`generate_sessions`] with explicit idle/holding means: the replay
+/// substitutes per-service-class means while keeping the draw sequence
+/// of the base plane (so a degenerate single-class mix with the base
+/// means reproduces the single-class sessions bit-for-bit).
 pub(crate) fn generate_sessions_with(
     mean_idle_steps: f64,
     mean_holding_steps: f64,
@@ -452,18 +459,13 @@ impl CellLoadTracker {
     }
 
     /// Offer a new call to `cell_idx`: admitted (and a channel seized)
-    /// only below the guard-reduced capacity.
-    pub fn offer_new_call(&mut self, cell_idx: usize) -> bool {
-        self.offer_new_call_guarded(cell_idx, 0)
-    }
-
-    /// [`CellLoadTracker::offer_new_call`] with `extra_guard` additional
-    /// channels reserved against this call — the service-class admission
-    /// priority knob (a class's new calls must leave
-    /// `guard + extra_guard` channels free). Saturates at zero admission
-    /// room: a class whose extra guard exceeds the cell's new-call
-    /// capacity is always blocked.
-    pub fn offer_new_call_guarded(&mut self, cell_idx: usize, extra_guard: u32) -> bool {
+    /// only below the guard-reduced capacity, with `extra_guard`
+    /// additional channels reserved against this call — the
+    /// service-class admission priority knob (a class's new calls must
+    /// leave `guard + extra_guard` channels free; 0 without service
+    /// classes). Saturates at zero admission room: a class whose extra
+    /// guard exceeds the cell's new-call capacity is always blocked.
+    pub fn offer_new_call(&mut self, cell_idx: usize, extra_guard: u32) -> bool {
         self.per_cell[cell_idx].offered_calls += 1;
         let room = (self.capacity - self.guard).saturating_sub(extra_guard);
         if self.occupancy[cell_idx] < room {
@@ -528,190 +530,60 @@ impl CellLoadTracker {
 /// Replay a fleet run's serving-cell traces against the traffic plane:
 /// generate every UE's offered sessions, walk the global timeline once,
 /// and account admission, handover relocation and occupancy per step.
+/// The one admission replay: a static plane passes
+/// [`DynamicsConfig::none()`], and the dynamic-workload features layer
+/// on top — per-service-class session streams, tidal arrival rates,
+/// churn-delayed UE arrivals (read off the traces' first change points),
+/// and scheduled cell outages that refuse admission and strand or
+/// force-relocate active calls.
+///
+/// Returns the base [`TrafficReport`] (whose counters keep the static
+/// plane's meaning — failure-caused losses are broken out into the
+/// [`DynamicTrafficStats`], not mixed into the ordinary
+/// blocking/dropping columns), the [`LoadField`] feedback timeline, and
+/// the dropped-Erlang breakdown by cause. An invalid `cfg` or
+/// `dynamics` surfaces as its [`ConfigError`], and an outage cell
+/// outside `cells` as [`ConfigError::UnknownCell`].
 ///
 /// `traces` must be sorted by ascending UE id (the fleet engine sorts
 /// its merge before calling) — the replay processes same-step events in
 /// UE-id order, which pins the one remaining ordering degree of freedom
-/// and makes the result a pure function of `(config, traces, base_seed)`.
-pub fn replay_traffic(
-    cfg: &TrafficConfig,
-    cells: &[Axial],
-    traces: &[UeTrace],
-    base_seed: u64,
-) -> (TrafficReport, LoadField) {
-    cfg.validate();
-    debug_assert!(
-        traces.windows(2).all(|w| w[0].ue_id < w[1].ue_id),
-        "traces must be sorted by UE id"
-    );
-    let mut tracker = CellLoadTracker::new(cells, cfg.channels_per_cell, cfg.guard_channels);
-
-    // Generate every UE's offered sessions (pure per-UE streams) and
-    // flatten the admission-visible ones — dialled before the UE's last
-    // sample, spanning at least one sample instant — into one arrival
-    // list. Building it UE-ascending and stable-sorting by step keeps
-    // same-step arrivals in UE-id order, the replay's pinned event
-    // order. Sessions that never reach admission contribute neither an
-    // offered call nor offered call-time, so `offered_erlangs` and
-    // `blocking_probability` describe the same call population.
-    let mut arrivals: Vec<PendingCall> = Vec::new();
-    let mut offered_call_time = 0.0f64;
-    for (ue, trace) in traces.iter().enumerate() {
-        let steps = trace.steps;
-        let sessions = generate_sessions(
-            cfg,
-            ue_seed(base_seed ^ TRAFFIC_STREAM, trace.ue_id),
-            steps as usize,
-        );
-        for session in &sessions {
-            let Some((start_step, last_step, natural_end)) = call_window(session, steps) else {
-                continue;
-            };
-            offered_call_time += (session.start + session.duration).min(steps as f64) - session.start;
-            arrivals.push(PendingCall { ue: ue as u32, step: start_step, last_step, natural_end });
-        }
-    }
-    arrivals.sort_by_key(|a| a.step);
-
-    // Per-UE lazy serving-cell cursors into the RLE traces (the
-    // timeline walk queries each UE monotonically).
-    let mut cursors: Vec<(usize, u32)> = vec![(0, 0); traces.len()];
-
-    let timeline = traces.iter().map(|t| t.steps).max().unwrap_or(0);
-    let mut active: Vec<ActiveCall> = Vec::new();
-    let mut next_arrival = 0usize;
-    let mut offered = 0u64;
-    let mut blocked = 0u64;
-    let mut carried = 0u64;
-    let mut ho_attempts = 0u64;
-    let mut dropped = 0u64;
-    let mut completed = 0u64;
-
-    for s in 0..timeline {
-        // 1 — releases: calls whose last sampled instant was s−1 free
-        // their channel before anything else contends for it.
-        active.retain(|call| {
-            if call.last_step < s {
-                tracker.release(call.cell as usize);
-                if call.natural_end {
-                    completed += 1;
-                }
-                false
-            } else {
-                true
-            }
-        });
-
-        // 2 — handover relocations, in call-admission order (which the
-        // sequential replay makes deterministic): an active call whose
-        // UE now sits in a different cell must find a free channel
-        // there or die.
-        active.retain_mut(|call| {
-            let ue = call.ue as usize;
-            let now = current_cell(&traces[ue], &mut cursors[ue], s);
-            if now == call.cell {
-                return true;
-            }
-            ho_attempts += 1;
-            if tracker.offer_handover(call.cell as usize, now as usize) {
-                call.cell = now;
-                true
-            } else {
-                dropped += 1;
-                false
-            }
-        });
-
-        // 3 — new-call arrivals dialled in (s−1, s], in UE-id order.
-        while let Some(arrival) = arrivals.get(next_arrival) {
-            if arrival.step > s {
-                break;
-            }
-            next_arrival += 1;
-            let ue = arrival.ue as usize;
-            let cell = current_cell(&traces[ue], &mut cursors[ue], s);
-            offered += 1;
-            if tracker.offer_new_call(cell as usize) {
-                carried += 1;
-                active.push(ActiveCall {
-                    ue: arrival.ue,
-                    cell,
-                    last_step: arrival.last_step,
-                    natural_end: arrival.natural_end,
-                });
-            } else {
-                blocked += 1;
-            }
-        }
-
-        // 4 — close the step: histogram + utilization row.
-        tracker.record_step();
-    }
-
-    // Drain the calls still holding a channel when the timeline ends:
-    // the ones whose own holding time ran out exactly on the final
-    // sampled instant completed naturally, the rest were cut off by
-    // their UE's run ending.
-    for call in &active {
-        if call.natural_end {
-            completed += 1;
-        }
-    }
-
-    let (per_cell, steps, busy_channel_steps, field) = tracker.finish();
-    let report = TrafficReport {
-        channels_per_cell: cfg.channels_per_cell,
-        guard_channels: cfg.guard_channels,
-        steps,
-        offered_calls: offered,
-        blocked_calls: blocked,
-        carried_calls: carried,
-        handover_attempts: ho_attempts,
-        dropped_calls: dropped,
-        completed_calls: completed,
-        offered_erlangs: if steps == 0 { 0.0 } else { offered_call_time / steps as f64 },
-        carried_erlangs: if steps == 0 {
-            0.0
-        } else {
-            busy_channel_steps as f64 / steps as f64
-        },
-        per_cell,
-    };
-    (report, field)
-}
-
-/// [`replay_traffic`] under a dynamic workload: per-service-class
-/// session streams, tidal arrival rates, churn-delayed UE arrivals
-/// (read off the traces' first change points), and scheduled cell
-/// outages that refuse admission and strand or force-relocate active
-/// calls. Returns the base [`TrafficReport`] (whose counters keep the
-/// static plane's meaning — failure-caused losses are broken out into
-/// the [`DynamicTrafficStats`], not mixed into the ordinary
-/// blocking/dropping columns), the [`LoadField`] feedback timeline, and
-/// the dropped-Erlang breakdown by cause.
+/// and makes the result a pure function of `(config, dynamics, traces,
+/// base_seed)`.
 ///
-/// The degenerate contracts the differential suite pins:
+/// The degenerate contracts the differential suites pin — each reduces
+/// to the static plane bit-for-bit:
 ///
 /// * a single-class mix whose parameters equal `cfg`'s reproduces the
-///   static session draws bit-for-bit (the class draw runs on
+///   static session draws (the class draw runs on
 ///   [`SERVICE_STREAM`](crate::dynamics::SERVICE_STREAM), not the
 ///   session stream);
 /// * outages that never intersect the timeline change nothing;
 /// * without churn every trace starts at step 0 and the arrival shift
 ///   is the identity.
-pub fn replay_traffic_dynamic(
+pub fn replay_traffic(
     cfg: &TrafficConfig,
     cells: &[Axial],
     traces: &[UeTrace],
     base_seed: u64,
     dynamics: &DynamicsConfig,
-) -> (TrafficReport, LoadField, DynamicTrafficStats) {
-    cfg.validate();
-    dynamics.validate();
+) -> Result<(TrafficReport, LoadField, DynamicTrafficStats), ConfigError> {
+    cfg.validated()?;
+    dynamics.validated()?;
     debug_assert!(
         traces.windows(2).all(|w| w[0].ue_id < w[1].ue_id),
         "traces must be sorted by UE id"
     );
+    // Scheduled outages, resolved to layout indices once.
+    let outages = dynamics
+        .failures
+        .iter()
+        .map(|o| match cells.iter().position(|&c| c == o.cell) {
+            Some(idx) => Ok((idx as u32, o.from_step, o.until_step)),
+            None => Err(ConfigError::UnknownCell { what: "outage", cell: o.cell }),
+        })
+        .collect::<Result<Vec<(u32, u64, u64)>, _>>()?;
+    let down = |cell: u32, s: u64| outages.iter().any(|&(k, f, u)| k == cell && f <= s && s < u);
     let mut tracker = CellLoadTracker::new(cells, cfg.channels_per_cell, cfg.guard_channels);
 
     // Per-UE class assignment (`None`: one undifferentiated class using
@@ -742,24 +614,16 @@ pub fn replay_traffic_dynamic(
     };
     let mut class_time = [0.0f64; 2];
 
-    // Scheduled outages, resolved to layout indices once.
-    let outages: Vec<(u32, u64, u64)> = dynamics
-        .failures
-        .iter()
-        .map(|o| {
-            let idx = cells
-                .iter()
-                .position(|&c| c == o.cell)
-                .expect("outage cell must be in the layout");
-            (idx as u32, o.from_step, o.until_step)
-        })
-        .collect();
-    let down = |cell: u32, s: u64| outages.iter().any(|&(k, f, u)| k == cell && f <= s && s < u);
-
-    // Offered sessions per UE, windowed to the UE's presence `[arrival,
-    // steps)` read off its trace — churned-in UEs dial their first call
-    // after they arrive, and a departed UE's tail sessions never reach
-    // admission (`call_window` clips against `trace.steps`).
+    // Generate every UE's offered sessions (pure per-UE streams),
+    // windowed to the UE's presence `[arrival, steps)` read off its trace
+    // — churned-in UEs dial their first call after they arrive, and a
+    // departed UE's tail sessions never reach admission (`call_window`
+    // clips against `trace.steps`). The admission-visible ones flatten
+    // into one arrival list; building it UE-ascending and stable-sorting
+    // by step keeps same-step arrivals in UE-id order, the replay's
+    // pinned event order. Sessions that never reach admission contribute
+    // neither an offered call nor offered call-time, so `offered_erlangs`
+    // and `blocking_probability` describe the same call population.
     let mut arrivals: Vec<PendingCall> = Vec::new();
     let mut offered_call_time = 0.0f64;
     for (ue, trace) in traces.iter().enumerate() {
@@ -792,6 +656,8 @@ pub fn replay_traffic_dynamic(
     }
     arrivals.sort_by_key(|a| a.step);
 
+    // Per-UE lazy serving-cell cursors into the RLE traces (the
+    // timeline walk queries each UE monotonically).
     let mut cursors: Vec<(usize, u32)> = vec![(0, 0); traces.len()];
     let timeline = traces.iter().map(|t| t.steps).max().unwrap_or(0);
     let mut active: Vec<ActiveCall> = Vec::new();
@@ -809,7 +675,8 @@ pub fn replay_traffic_dynamic(
     let mut failure_time = 0.0f64;
 
     for s in 0..timeline {
-        // 1 — releases (identical to the static replay).
+        // 1 — releases: calls whose last sampled instant was s−1 free
+        // their channel before anything else contends for it.
         active.retain(|call| {
             if call.last_step < s {
                 tracker.release(call.cell as usize);
@@ -825,7 +692,9 @@ pub fn replay_traffic_dynamic(
             }
         });
 
-        // 2 — relocations and failure evictions. A call whose UE stayed
+        // 2 — handover relocations, in call-admission order: an active
+        // call whose UE now sits in a different cell must find a free
+        // channel there or die. A call whose UE stayed
         // put on a cell that is down this step is stranded (the engine
         // found it no live target) and lost to the failure; a call whose
         // UE moved off a down cell was force-evicted by the engine and
@@ -870,7 +739,8 @@ pub fn replay_traffic_dynamic(
             }
         });
 
-        // 3 — new-call arrivals, in UE-id order. A down cell offers no
+        // 3 — new-call arrivals dialled in (s−1, s], in UE-id order. A
+        // down cell offers no
         // channels: the call is blocked and its holding time charged to
         // the failure cause.
         while let Some(arrival) = arrivals.get(next_arrival) {
@@ -894,7 +764,7 @@ pub fn replay_traffic_dynamic(
                 }
             } else {
                 let (_, _, extra_guard) = class_params(ue);
-                if tracker.offer_new_call_guarded(cell as usize, extra_guard) {
+                if tracker.offer_new_call(cell as usize, extra_guard) {
                     carried += 1;
                     if let Some(k) = cls(ue) {
                         per_class[k].carried_calls += 1;
@@ -915,10 +785,14 @@ pub fn replay_traffic_dynamic(
             }
         }
 
-        // 4 — close the step.
+        // 4 — close the step: histogram + utilization row.
         tracker.record_step();
     }
 
+    // Drain the calls still holding a channel when the timeline ends:
+    // the ones whose own holding time ran out exactly on the final
+    // sampled instant completed naturally, the rest were cut off by
+    // their UE's run ending.
     for call in &active {
         if call.natural_end {
             completed += 1;
@@ -955,7 +829,7 @@ pub fn replay_traffic_dynamic(
         carried_erlangs: over(busy_channel_steps as f64),
         per_cell,
     };
-    (report, field, stats)
+    Ok((report, field, stats))
 }
 
 #[cfg(test)]
@@ -964,6 +838,14 @@ mod tests {
 
     fn two_cells() -> Vec<Axial> {
         vec![Axial::ORIGIN, Axial::new(1, 0)]
+    }
+
+    /// The static plane over [`two_cells`]: no dynamics attached.
+    fn replay(cfg: &TrafficConfig, traces: &[UeTrace], seed: u64) -> (TrafficReport, LoadField) {
+        let none = DynamicsConfig::none();
+        let (report, field, _) =
+            replay_traffic(cfg, &two_cells(), traces, seed, &none).expect("valid plane");
+        (report, field)
     }
 
     fn cfg(channels: u32, guard: u32) -> TrafficConfig {
@@ -991,7 +873,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "guard channels")]
     fn guard_must_leave_room() {
-        TrafficConfig::erlang(4, 4, 0.1, 10.0).validate();
+        let _ = TrafficConfig::erlang(4, 4, 0.1, 10.0);
     }
 
     #[test]
@@ -1041,7 +923,7 @@ mod tests {
     fn replay_accounts_every_offered_call() {
         let c = cfg(8, 0);
         let traces = pinned_traces(20, 400);
-        let (report, field) = replay_traffic(&c, &two_cells(), &traces, 9);
+        let (report, field) = replay(&c, &traces, 9);
         assert_eq!(report.steps, 400);
         assert!(report.offered_calls > 0);
         assert_eq!(report.offered_calls, report.carried_calls + report.blocked_calls);
@@ -1061,8 +943,8 @@ mod tests {
     fn replay_is_deterministic() {
         let c = cfg(4, 1);
         let traces = pinned_traces(10, 300);
-        let a = replay_traffic(&c, &two_cells(), &traces, 5);
-        let b = replay_traffic(&c, &two_cells(), &traces, 5);
+        let a = replay(&c, &traces, 5);
+        let b = replay(&c, &traces, 5);
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
     }
@@ -1079,7 +961,7 @@ mod tests {
             load_feedback: false,
         };
         let traces = pinned_traces(30, 500);
-        let (report, _) = replay_traffic(&c, &two_cells(), &traces, 3);
+        let (report, _) = replay(&c, &traces, 3);
         assert_eq!(report.per_cell[0].peak_occupancy(), 1);
         assert!(report.blocking_probability() > 0.5, "{}", report.blocking_probability());
         assert!(report.carried_erlangs <= 1.0);
@@ -1107,8 +989,8 @@ mod tests {
             load_feedback: false,
         };
         let guarded = TrafficConfig { guard_channels: 2, ..base };
-        let (no_guard, _) = replay_traffic(&base, &two_cells(), &mk_traces(), 11);
-        let (with_guard, _) = replay_traffic(&guarded, &two_cells(), &mk_traces(), 11);
+        let (no_guard, _) = replay(&base, &mk_traces(), 11);
+        let (with_guard, _) = replay(&guarded, &mk_traces(), 11);
         assert!(with_guard.handover_attempts > 0);
         assert!(
             with_guard.blocking_probability() > no_guard.blocking_probability(),
@@ -1143,7 +1025,7 @@ mod tests {
         for ue_id in 1..=2 {
             traces.push(UeTrace::pinned(ue_id, 10, 1));
         }
-        let (report, field) = replay_traffic(&c, &two_cells(), &traces, 1);
+        let (report, field) = replay(&c, &traces, 1);
         assert_eq!(report.carried_calls, 3, "all three calls admitted at step ~0");
         assert_eq!(report.handover_attempts, 1);
         assert_eq!(report.dropped_calls, 1, "cell 1 was full");
@@ -1163,7 +1045,7 @@ mod tests {
             mean_holding_steps: 1e9,
             load_feedback: false,
         };
-        let (report, _) = replay_traffic(&cut_off, &two_cells(), &pinned_traces(1, 10), 1);
+        let (report, _) = replay(&cut_off, &pinned_traces(1, 10), 1);
         assert_eq!(report.carried_calls, 1);
         assert_eq!(report.completed_calls, 0, "the run ended mid-call");
 
@@ -1189,7 +1071,7 @@ mod tests {
             .filter(|s| matches!(call_window(s, len), Some((_, _, true))))
             .count() as u64;
         assert!(expected >= 1, "the first session ends exactly on the final step");
-        let (report, _) = replay_traffic(&cfg, &two_cells(), &pinned_traces(1, len), base_seed);
+        let (report, _) = replay(&cfg, &pinned_traces(1, len), base_seed);
         assert_eq!(
             report.completed_calls, expected,
             "final-step natural ends must be drained into the completed count"
@@ -1242,7 +1124,7 @@ mod tests {
             load_feedback: false,
         };
         let traces = pinned_traces(50, 200);
-        let (report, _) = replay_traffic(&c, &two_cells(), &traces, 21);
+        let (report, _) = replay(&c, &traces, 21);
         assert_eq!(report.offered_calls, report.carried_calls + report.blocked_calls);
         assert_eq!(report.blocked_calls, 0, "nothing holds a channel long enough to block");
         assert!(report.carried_erlangs < 1e-6, "{}", report.carried_erlangs);
@@ -1253,13 +1135,33 @@ mod tests {
 
     #[test]
     fn empty_traces_make_an_empty_report() {
-        let (report, field) = replay_traffic(&cfg(4, 0), &two_cells(), &[], 1);
+        let (report, field) = replay(&cfg(4, 0), &[], 1);
         assert_eq!(report.steps, 0);
         assert_eq!(report.offered_calls, 0);
         assert_eq!(report.offered_erlangs, 0.0);
         assert_eq!(report.carried_erlangs, 0.0);
         assert_eq!(field.n_steps(), 0);
         assert_eq!(field.utilization(Axial::ORIGIN, 0), 0.0);
+    }
+
+    #[test]
+    fn replay_returns_invalid_planes_as_typed_errors() {
+        let traces = pinned_traces(2, 10);
+        let none = DynamicsConfig::none();
+        let bad = TrafficConfig { guard_channels: 4, ..cfg(4, 0) };
+        assert_eq!(
+            replay_traffic(&bad, &two_cells(), &traces, 1, &none).unwrap_err(),
+            ConfigError::GuardChannelsExhaustCapacity { guard: 4, channels: 4 }
+        );
+        let far = Axial::new(5, 5);
+        let outage = DynamicsConfig {
+            failures: vec![crate::dynamics::CellOutage { cell: far, from_step: 0, until_step: 3 }],
+            ..DynamicsConfig::none()
+        };
+        assert_eq!(
+            replay_traffic(&cfg(4, 0), &two_cells(), &traces, 1, &outage).unwrap_err(),
+            ConfigError::UnknownCell { what: "outage", cell: far }
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   query cells/UE → policy hot-swap → checkpoint → drop → hydrate →
 //!   run to completion), then assert the served result is
 //!   **bit-identical** to the equivalent in-process batch
-//!   `run_partial` → `try_resume` chain.
+//!   `run_partial` → `resume` chain.
 //!
 //! Flags: `--socket PATH` (default under the temp dir), `--workers N`
 //! (default 4), `--ues N` (default 24), `--walks N` (default 6),
@@ -187,7 +187,7 @@ fn demo(opts: &Opts) -> Result<(), Box<dyn Error>> {
         cell_radius_km: config.cell_radius_km,
     };
     let cp = engine.run_partial(&spec(PolicyKind::Fuzzy), &ids, opts.seed, swap.step)?;
-    let batch = engine.try_resume(&spec(PolicyKind::Hysteresis { margin_db: 4.0 }), &cp)?;
+    let batch = engine.resume(&spec(PolicyKind::Hysteresis { margin_db: 4.0 }), &cp)?;
     assert_eq!(
         served, batch,
         "served lifecycle result differs from the batch run_partial→resume chain"

@@ -26,7 +26,7 @@ use fuzzy_handover::sim::fleet::{
     ue_seed, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
 use fuzzy_handover::sim::traffic::{replay_traffic, TrafficConfig, UeTrace, TRAFFIC_STREAM};
-use fuzzy_handover::sim::SimConfig;
+use fuzzy_handover::sim::{DynamicsConfig, SimConfig};
 
 fn main() {
     erlang_sanity_sweep();
@@ -44,7 +44,8 @@ fn erlang_sanity_sweep() {
         (0..2_000).map(|ue_id| UeTrace::pinned(ue_id, 4_000, 0)).collect();
     for offered in [4.0, 7.0, 9.5] {
         let cfg = TrafficConfig::erlang(10, 0, offered / 2_000.0, 15.0);
-        let (report, _) = replay_traffic(&cfg, &cells, &traces, 0xE71A);
+        let (report, _, _) = replay_traffic(&cfg, &cells, &traces, 0xE71A, &DynamicsConfig::none())
+            .expect("valid traffic plane");
         println!(
             "{offered:>10.1}  {:>10.4}  {:>10.4}  {:>8}",
             erlang_b(offered, 10),

@@ -139,8 +139,8 @@ fn flat_tide_normalizes_away() {
 /// Failure windows that never intersect the timeline leave every
 /// engine-side artifact bitwise identical — the run only gains the
 /// dynamic report. With a traffic plane attached, the `TrafficReport`
-/// (now produced by the dynamic replay) matches the static replay bit
-/// for bit and the failure columns stay zero.
+/// replayed with the outage windows matches the replay without them
+/// bit for bit and the failure columns stay zero.
 #[test]
 fn out_of_horizon_failures_are_engine_invisible() {
     for policy in ALL_POLICIES {

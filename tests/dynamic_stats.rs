@@ -16,7 +16,7 @@ use fuzzy_handover::geometry::Axial;
 use fuzzy_handover::mobility::RandomWalk;
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::sim::fleet::{FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind};
-use fuzzy_handover::sim::traffic::{replay_traffic_dynamic, UeTrace};
+use fuzzy_handover::sim::traffic::{replay_traffic, UeTrace};
 use fuzzy_handover::sim::{
     CellOutage, ChurnConfig, DynamicsConfig, ServiceMix, ServiceParams, SimConfig, TidalWave,
     TrafficConfig,
@@ -99,8 +99,8 @@ fn tidal_carried_load_tracks_the_offered_wave() {
     let wave = TidalWave { period_steps: period, amplitude: 0.9, phase_per_q: 0.0 };
     let tidal = DynamicsConfig { tide: Some(wave), ..DynamicsConfig::none() };
     let (flat_report, _, _) =
-        replay_traffic_dynamic(&cfg, &two_cells(), &traces, 99, &DynamicsConfig::none());
-    let (report, field, _) = replay_traffic_dynamic(&cfg, &two_cells(), &traces, 99, &tidal);
+        replay_traffic(&cfg, &two_cells(), &traces, 99, &DynamicsConfig::none()).unwrap();
+    let (report, field, _) = replay_traffic(&cfg, &two_cells(), &traces, 99, &tidal).unwrap();
     // Mean intensity 1 ⇒ the offered-call volume survives the rescaling.
     let ratio = report.offered_calls as f64 / flat_report.offered_calls as f64;
     assert!(
@@ -155,7 +155,7 @@ fn failure_eviction_equals_occupancy_at_shutdown() {
         ..DynamicsConfig::none()
     };
     let (report, field, stats) =
-        replay_traffic_dynamic(&cfg, &two_cells(), &traces, 4321, &dynamics);
+        replay_traffic(&cfg, &two_cells(), &traces, 4321, &dynamics).unwrap();
     let occupied_before =
         (field.utilization(cell, from as usize - 1) * cfg.channels_per_cell as f64).round() as u64;
     assert!(occupied_before > 0, "the cell must be carrying calls when it fails");
@@ -193,7 +193,7 @@ fn departing_ues_release_their_channels() {
         (0..12).map(|id| UeTrace::pinned(id, 10 + 6 * id, 0)).collect();
     let last = traces.last().unwrap().steps;
     let (report, field, _) =
-        replay_traffic_dynamic(&cfg, &two_cells(), &traces, 2024, &DynamicsConfig::none());
+        replay_traffic(&cfg, &two_cells(), &traces, 2024, &DynamicsConfig::none()).unwrap();
     assert!(report.carried_calls > 0);
     for s in 0..last {
         let alive = traces.iter().filter(|t| s < t.steps).count();
@@ -275,7 +275,7 @@ fn extra_guard_channels_prioritize_voice_admission() {
         services: Some(ServiceMix { voice_share: 0.5, voice: same(0), data: same(2) }),
         ..DynamicsConfig::none()
     };
-    let (_, _, stats) = replay_traffic_dynamic(&cfg, &two_cells(), &traces, 555, &dynamics);
+    let (_, _, stats) = replay_traffic(&cfg, &two_cells(), &traces, 555, &dynamics).unwrap();
     let voice = &stats.per_class[0];
     let data = &stats.per_class[1];
     assert!(voice.offered_calls > 50 && data.offered_calls > 50, "both classes saw load");

@@ -165,7 +165,7 @@ fn sealed_checkpoint_matches_golden_and_restores() {
 
     // And the pinned container still restores bit-identically.
     let parsed = FleetCheckpoint::try_unseal(&golden).expect("unseal golden");
-    let resumed = engine.try_resume(&spec, &parsed).expect("resume sealed golden");
+    let resumed = engine.resume(&spec, &parsed).expect("resume sealed golden");
     let full = engine.run_ids(&spec, &ids, BASE_SEED);
     assert_eq!(full, resumed, "sealed golden no longer resumes bit-identically");
 }

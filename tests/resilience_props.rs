@@ -13,7 +13,7 @@
 //!    spacings, zero capacities, inverted outage windows, out-of-range
 //!    shares) surface as [`FleetError::InvalidConfig`] from the fallible
 //!    entry points — never a worker panic or a NaN-poisoned result.
-//! 4. Chaining `run_partial → resume_partial → … → try_resume` at an
+//! 4. Chaining `run_partial → resume_partial → … → resume` at an
 //!    arbitrary cadence reproduces the uninterrupted run bit for bit
 //!    (the supervisor's segment primitive).
 
@@ -24,7 +24,7 @@ use fuzzy_handover::sim::checkpoint::{CheckpointError, FleetCheckpoint};
 use fuzzy_handover::sim::fleet::{
     FleetError, FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
-use fuzzy_handover::sim::resilience::{Fault, FaultPlan, RetryPolicy};
+use fuzzy_handover::sim::resilience::{Fault, FaultPlan, RetryPolicy, Supervisor};
 use fuzzy_handover::sim::SimConfig;
 use proptest::prelude::*;
 
@@ -169,7 +169,7 @@ proptest! {
     }
 
     /// Property 4: the supervisor's segment primitive — chained
-    /// `run_partial → resume_partial* → try_resume` at an arbitrary
+    /// `run_partial → resume_partial* → resume` at an arbitrary
     /// cadence — reproduces the uninterrupted run bit for bit.
     #[test]
     fn partial_chain_reproduces_the_uninterrupted_run(
@@ -193,7 +193,7 @@ proptest! {
             guard += 1;
             prop_assert!(guard < 10_000, "chain did not converge");
         }
-        let chained = fleet.try_resume(&spec, &cp).expect("final assembly");
+        let chained = fleet.resume(&spec, &cp).expect("final assembly");
         prop_assert_eq!(&reference, &chained);
     }
 }
@@ -247,6 +247,51 @@ fn retries_exhausted_is_typed_and_deterministic() {
         other => panic!("expected RetriesExhausted, got {other:?}"),
     }
     assert_eq!(run(()).expect_err("same budget, same outcome"), err);
+}
+
+/// Scripted faults fire the same way on every run: with 2 workers and
+/// faults at consecutive steps, thread timing must not decide which
+/// shard a fault hits or how many faults one attempt uses up. 24 runs
+/// of one plan in one process end in the same error with the same
+/// audit trail, and a budget that covers the plan recovers with the
+/// same result and audit trail every time.
+#[test]
+fn scripted_faults_fire_identically_on_every_run() {
+    let cfg = noisy_config();
+    let spec = fleet_spec(11, cfg.layout.cell_radius_km());
+    let ids: Vec<u64> = (0..6).collect();
+    let plan = FaultPlan::scripted(vec![
+        Fault::WorkerPanic { at_step: 1 },
+        Fault::StallWorker { at_step: 1, delay_steps: 3 },
+        Fault::WorkerPanic { at_step: 2 },
+        Fault::AllocFailure { at_step: 2 },
+        Fault::WorkerPanic { at_step: 3 },
+        Fault::WorkerPanic { at_step: 4 },
+    ]);
+    let supervise = |max_retries: u32| {
+        let engine = FleetSimulation::new(noisy_config())
+            .with_workers(2)
+            .with_fault_injection(Arc::new(plan.injector()));
+        let policy = RetryPolicy { max_retries, ..RetryPolicy::default() };
+        let mut supervisor = Supervisor::new(engine, policy).expect("valid planes");
+        let outcome = supervisor.finish(&spec, &ids, 11);
+        (outcome, supervisor.report().clone())
+    };
+    let (first_err, first_report) = supervise(3);
+    assert!(
+        matches!(first_err, Err(FleetError::RetriesExhausted { attempts: 4, .. })),
+        "{first_err:?}"
+    );
+    let (first_ok, first_ok_report) = supervise(16);
+    assert_eq!(first_ok_report.worker_panics, 5, "each panic fault costs one attempt");
+    for run in 1..24 {
+        let (err, report) = supervise(3);
+        assert_eq!(err.unwrap_err(), *first_err.as_ref().unwrap_err(), "run {run}");
+        assert_eq!(report, first_report, "run {run}");
+        let (ok, report) = supervise(16);
+        assert_eq!(ok.unwrap(), *first_ok.as_ref().unwrap(), "run {run}");
+        assert_eq!(report, first_ok_report, "run {run}");
+    }
 }
 
 /// Two over-deadline stalls: the supervisor halves the workers

@@ -10,7 +10,7 @@
 //!    exactly the bytes it produces alone.
 //! 3. A mid-run policy hot-swap is replay-deterministic: re-driving the
 //!    recorded swap log reproduces the session's result bit for bit,
-//!    and both equal the manual `run_partial(old) → try_resume(new)`
+//!    and both equal the manual `run_partial(old) → resume(new)`
 //!    chain.
 //! 4. The wire protocol round-trips the whole lifecycle: the same
 //!    results arrive through the length-prefixed codec as through
@@ -20,11 +20,13 @@
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::server::{
     read_frame, serve, spawn_in_process, write_frame, Request, Response, ServerError, Session,
-    SessionConfig, SessionError, TwinServer,
+    SessionConfig, SessionError, SessionSnapshot, TwinServer,
 };
 use fuzzy_handover::sim::fleet::{
     CandidateMode, FleetMobility, FleetResult, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
+use fuzzy_handover::sim::checkpoint::CheckpointError;
+use fuzzy_handover::sim::traffic::UeTrace;
 use fuzzy_handover::sim::{seal_payload, unseal_payload, ConfigError, SimConfig, TrafficConfig};
 use proptest::prelude::*;
 
@@ -165,7 +167,7 @@ proptest! {
         let cp = engine
             .run_partial(&batch_spec(&config, PolicyKind::Fuzzy), &ids, seed, swap.step)
             .unwrap();
-        let manual = engine.try_resume(&batch_spec(&config, new_policy), &cp).unwrap();
+        let manual = engine.resume(&batch_spec(&config, new_policy), &cp).unwrap();
         prop_assert_eq!(&manual, &original);
     }
 
@@ -339,4 +341,84 @@ fn configs_with_the_removed_precision_key_still_decode() {
     legacy_frame.extend_from_slice(legacy.as_bytes());
     let decoded: Request = read_frame(&mut legacy_frame.as_slice()).unwrap().unwrap();
     assert!(matches!(decoded, Request::Spawn { config: c } if *c == config));
+}
+
+/// A sealed session whose traces were forged and resealed with a valid
+/// checksum must be refused at hydrate time as `Corrupt`: the daemon
+/// neither accepts the bytes nor panics on a later advance. Covers
+/// every layout-aware trace check `check_checkpoint` runs.
+#[test]
+fn forged_traces_are_rejected_at_hydrate() {
+    let config = session_config(6, 17, 2);
+    let mut session = Session::spawn(config, 2).unwrap();
+    session.advance_to(4).unwrap();
+    let snapshot = session.snapshot();
+    let fleet = snapshot.fleet.as_ref().expect("an advanced session carries a fleet snapshot");
+    assert!(fleet.live.iter().any(|ue| !ue.trace_changes.is_empty()), "live traces to forge");
+
+    type Forgery = fn(&mut SessionSnapshot);
+    let forge = |edit: Forgery| {
+        let mut forged = snapshot.clone();
+        edit(&mut forged);
+        seal_payload(serde_json::to_string(&forged).unwrap().as_bytes())
+    };
+    let forgeries: [(&str, Forgery); 5] = [
+        (
+            "cell outside the layout",
+            |s| {
+                for ue in &mut s.fleet.as_mut().unwrap().live {
+                    for change in &mut ue.trace_changes {
+                        change.1 = 999;
+                    }
+                }
+            },
+        ),
+        (
+            "change step past the trace",
+            |s| {
+                let ue = &mut s.fleet.as_mut().unwrap().live[0];
+                ue.trace_changes.push((ue.trace_steps, 0));
+            },
+        ),
+        (
+            "trace longer than the snapshot",
+            |s| {
+                let fleet = s.fleet.as_mut().unwrap();
+                fleet.live[0].trace_steps = fleet.step + 1;
+            },
+        ),
+        (
+            "descending change steps",
+            |s| {
+                let ue = &mut s.fleet.as_mut().unwrap().live[0];
+                ue.trace_changes.insert(0, (ue.trace_steps - 1, 0));
+            },
+        ),
+        (
+            "unsorted finished traces",
+            |s| {
+                let traces = &mut s.fleet.as_mut().unwrap().finished_traces;
+                let trace = UeTrace { ue_id: 0, steps: 1, changes: vec![(0, 0)] };
+                traces.extend([trace.clone(), trace]);
+            },
+        ),
+    ];
+    for (what, edit) in &forgeries {
+        let bytes = forge(*edit);
+        match Session::hydrate(&bytes, 2) {
+            Err(SessionError::Corrupt(CheckpointError::ShapeMismatch(_))) => {}
+            Err(err) => panic!("{what}: expected a shape mismatch, got {err:?}"),
+            Ok(_) => panic!("{what}: hydrate accepted forged bytes"),
+        }
+        let mut server = TwinServer::new(2);
+        match server.handle(Request::Hydrate { bytes }) {
+            Response::Error { error: ServerError::Session { .. } } => {}
+            other => panic!("{what}: the daemon accepted forged bytes: {other:?}"),
+        }
+        assert_eq!(server.session_count(), 0, "{what}");
+    }
+
+    // The untouched snapshot still hydrates and finishes.
+    let mut revived = Session::hydrate(&forge(|_| {}), 2).unwrap();
+    assert!(revived.advance_to(u64::MAX).unwrap().complete);
 }

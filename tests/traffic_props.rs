@@ -9,7 +9,7 @@
 //!   A = 15 E on c = 20 channels by a 10 000-UE fleet reproduces the
 //!   Erlang-B blocking probability within two percentage points.
 
-use fuzzy_handover::core::erlang_b;
+use fuzzy_handover::core::{erlang_b, LoadField, TrafficReport};
 use fuzzy_handover::geometry::Axial;
 use fuzzy_handover::mobility::RandomWalk;
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
@@ -17,8 +17,16 @@ use fuzzy_handover::sim::fleet::{ue_seed, FleetMobility, FleetSimulation, Homoge
 use fuzzy_handover::sim::traffic::{
     generate_sessions, replay_traffic, TrafficConfig, UeTrace, TRAFFIC_STREAM,
 };
-use fuzzy_handover::sim::SimConfig;
+use fuzzy_handover::sim::{DynamicsConfig, SimConfig};
 use proptest::prelude::*;
+
+/// The static plane (no dynamics) over [`erlang_cell`].
+fn replay(cfg: &TrafficConfig, traces: &[UeTrace], seed: u64) -> (TrafficReport, LoadField) {
+    let (report, field, _) =
+        replay_traffic(cfg, &erlang_cell(), traces, seed, &DynamicsConfig::none())
+            .expect("valid plane");
+    (report, field)
+}
 
 fn base_traffic() -> TrafficConfig {
     TrafficConfig {
@@ -126,7 +134,7 @@ fn single_cell_blocking_matches_erlang_b_at_10k_ues() {
     let holding = 20.0f64;
     // Per-UE load a = A / N; idle mean follows from a = h/(i+h).
     let cfg = TrafficConfig::erlang(channels, 0, offered_erlangs / n_ues as f64, holding);
-    let (report, _) = replay_traffic(&cfg, &erlang_cell(), &pinned_traces(n_ues, steps), 0xE71A);
+    let (report, _) = replay(&cfg, &pinned_traces(n_ues, steps), 0xE71A);
 
     let analytic = erlang_b(offered_erlangs, channels);
     let empirical = report.blocking_probability();
@@ -165,7 +173,7 @@ fn single_cell_blocking_tracks_erlang_b_at_1k_ues() {
     let channels = 10u32;
     let offered_erlangs = 7.0f64;
     let cfg = TrafficConfig::erlang(channels, 0, offered_erlangs / n_ues as f64, 15.0);
-    let (report, _) = replay_traffic(&cfg, &erlang_cell(), &pinned_traces(n_ues, steps), 0xE71B);
+    let (report, _) = replay(&cfg, &pinned_traces(n_ues, steps), 0xE71B);
     let analytic = erlang_b(offered_erlangs, channels);
     let empirical = report.blocking_probability();
     assert!(report.offered_calls > 800, "{}", report.offered_calls);
@@ -197,8 +205,8 @@ fn guard_channels_protect_handover_calls() {
         load_feedback: false,
     };
     let guarded = TrafficConfig { guard_channels: 2, ..hot };
-    let (plain, _) = replay_traffic(&hot, &erlang_cell(), &mk_traces(), 3);
-    let (with_guard, _) = replay_traffic(&guarded, &erlang_cell(), &mk_traces(), 3);
+    let (plain, _) = replay(&hot, &mk_traces(), 3);
+    let (with_guard, _) = replay(&guarded, &mk_traces(), 3);
     assert!(plain.handover_attempts > 100);
     assert!(with_guard.blocking_probability() > plain.blocking_probability());
     assert!(with_guard.dropping_probability() < plain.dropping_probability());
