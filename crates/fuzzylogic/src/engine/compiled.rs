@@ -11,33 +11,72 @@
 //! * every output term's membership function is **pre-sampled** over the
 //!   fixed-resolution output universe, so the imply/aggregate loop reads a
 //!   contiguous `f64` row instead of re-evaluating the MF at every grid
-//!   point of every call.
+//!   point of every call. Each row records its nonzero support
+//!   `[start, end)`, and each output keeps its grid abscissae in a table.
 //!
 //! Evaluation writes into a caller-owned [`EvalScratch`], so after the
 //! scratch has grown to the plan's dimensions (its first use) a call to
 //! [`CompiledFis::evaluate`] performs **zero heap allocations** — verified
 //! by a counting-allocator test in the workspace test suite.
 //!
-//! The compiled plan is **bit-identical** to the interpreted engine: it
-//! runs the same fuzzify → fire → imply/aggregate → defuzzify arithmetic in
-//! the same order on the same grid coordinates ([`grid_x`] is shared by
-//! both paths), so `CompiledFis::evaluate` and [`Fis::evaluate`] return the
-//! same `f64` bits for every input. A property test pins this.
+//! # Bit-identity with the interpreted engine
+//!
+//! `CompiledFis::evaluate` and [`Fis::evaluate`] return the same `f64`
+//! bits for every input; property tests pin this. Fuzzification runs the
+//! same arithmetic in the same order, rule firing folds the same degrees
+//! in the same order, and both engines sample the output universe at the
+//! same [`grid_x`] coordinates.
+//!
+//! The paper profile (`Implication::Min` + `Aggregation::Max`) takes a
+//! sparse path that rests on these exact identities:
+//!
+//! * **Grouped consequents.** `max_r min(w_r, s) = min(max_r w_r, s)`, and
+//!   `clamp` is monotone, so the fired rules of one consequent term fold
+//!   into one strength `W_k = max_r w_r` and one pass over its row.
+//!   `min` and `max` round nothing, so the order of the rules is free.
+//! * **Support-bounded rows.** Outside a row's nonzero support the sample
+//!   is `±0`: `min(W, ±0)` clamps to zero and `max(m, ±0) = m`, so those
+//!   samples are skipped.
+//! * **Fused centroid.** The trapezoid area and first moment are summed
+//!   in one pass over the union of the fired supports, in grid order. A
+//!   skipped sample would add an exact zero to each running sum, so both
+//!   accumulators keep their bits. The endpoint terms are formed as in
+//!   the interpreted defuzzifier, and the abscissae come from a table
+//!   filled by [`grid_x`] at compile time. The samples are non-negative,
+//!   so the defuzzifier's zero-height test is a positivity test on the
+//!   same sums. A zero area falls back to the generic defuzzifier.
+//! * **Hoisted dispatch.** The operator profile is matched once per call,
+//!   not per sample. Rule firing matches its norm once per rule; with the
+//!   `Min`/`Max` norms it folds with plain `min`/`max`, because the
+//!   norms' own clamps are identities on the hedged degrees in `[0, 1]`.
+//!
+//! Only the sign of an exact zero can differ, and no defuzzifier output
+//! depends on it. Every other operator profile runs the generic
+//! rule-by-rule loop in the interpreted engine's order. The paper's
+//! `Product` profile (product implication, probabilistic-sum aggregation)
+//! is one of them: `a + b - ab` rounds at every step, so its result
+//! depends on the order and grouping of the fired rules, and the same
+//! holds for bounded-sum aggregation.
 //!
 //! Because the plan is immutable and `Send + Sync`, many consumers (e.g.
 //! thousands of per-UE handover controllers) can share one plan behind an
 //! `Arc` while each owns only a small scratch.
 
+use crate::defuzz::Defuzzifier;
 use crate::engine::mamdani::{EngineConfig, Fis, NoFirePolicy};
 use crate::error::{FuzzyError, Result};
 use crate::fuzzyset::grid_x;
 use crate::hedge::Hedge;
 use crate::membership::Mf;
+use crate::norms::{Aggregation, Implication, SNorm, TNorm};
 use crate::rule::Connective;
 
 /// Sentinel membership index for antecedents whose variable/term index does
 /// not resolve (the interpreted engine reads those as degree 0).
 const NO_MEMBERSHIP: u32 = u32::MAX;
+
+/// Marks an output term no consequent has referenced yet during compile.
+const NO_ROW: u32 = u32::MAX;
 
 /// One flattened antecedent clause: a pre-resolved index into the scratch
 /// membership buffer plus the hedge to apply.
@@ -86,9 +125,17 @@ pub struct CompiledFis {
     /// exact aggregation order of the interpreted engine.
     cons_offsets: Vec<u32>,
     consequents: Vec<FlatConsequent>,
+    /// `row_offsets[o]..row_offsets[o + 1]` delimits output `o`'s rows in
+    /// `samples` and `supports`.
+    row_offsets: Vec<u32>,
     /// Pre-sampled output-term shapes: row `k` holds `resolution` samples
     /// of one output term's MF over its variable's universe.
     samples: Vec<f64>,
+    /// Per row, the sample range `[start, end)` outside which every sample
+    /// is zero (`start == end` for a row that is zero everywhere).
+    supports: Vec<(u32, u32)>,
+    /// Per output, the `resolution` grid abscissae [`grid_x`] yields.
+    xs: Vec<f64>,
     config: EngineConfig,
 }
 
@@ -132,35 +179,45 @@ impl CompiledFis {
             weights.push(rule.weight);
         }
 
-        // Pre-sample every output term once; consequent tables reference
-        // the rows. `grid_x` makes the sample coordinates bit-identical to
-        // the interpreted engine's `SampledSet` grid.
-        let mut output_bounds = Vec::with_capacity(fis.outputs().len());
-        let mut cons_offsets = Vec::with_capacity(fis.outputs().len() + 1);
+        // Pre-sample every output term once from the output's abscissa
+        // table, then trim the row's zero ends to find its support (a scan
+        // that stops at the first nonzero sample from either side);
+        // consequent tables reference the rows. `grid_x` makes the sample
+        // coordinates bit-identical to the interpreted engine's
+        // `SampledSet` grid.
+        let outputs = fis.outputs();
+        let mut output_bounds = Vec::with_capacity(outputs.len());
+        let mut cons_offsets = Vec::with_capacity(outputs.len() + 1);
         let mut consequents = Vec::new();
+        let mut row_offsets = Vec::with_capacity(outputs.len() + 1);
         let mut samples = Vec::new();
+        let mut supports = Vec::new();
+        let mut xs = Vec::with_capacity(outputs.len() * res);
         cons_offsets.push(0);
-        let mut row_of = Vec::new(); // (output, term) -> row, built lazily
-        for (oi, var) in fis.outputs().iter().enumerate() {
+        row_offsets.push(0);
+        for (oi, var) in outputs.iter().enumerate() {
             output_bounds.push((var.min, var.max));
+            let grid = xs.len();
+            xs.extend((0..res).map(|i| grid_x(var.min, var.max, res, i)));
+            let mut row_of_term = vec![NO_ROW; var.term_count()];
             for (ri, rule) in rules.iter().enumerate() {
                 for cons in rule.consequents.iter().filter(|c| c.var == oi) {
-                    let key = (oi, cons.term);
-                    let row = match row_of.iter().find(|(k, _)| *k == key) {
-                        Some(&(_, row)) => row,
-                        None => {
-                            let row = (samples.len() / res) as u32;
-                            let mf = var.terms()[cons.term].mf;
-                            samples
-                                .extend((0..res).map(|i| mf.eval(grid_x(var.min, var.max, res, i))));
-                            row_of.push((key, row));
-                            row
-                        }
-                    };
-                    consequents.push(FlatConsequent { rule: ri as u32, row });
+                    if row_of_term[cons.term] == NO_ROW {
+                        row_of_term[cons.term] = supports.len() as u32;
+                        let mf = var.terms()[cons.term].mf;
+                        let base = samples.len();
+                        samples.extend(xs[grid..].iter().map(|&x| mf.eval(x)));
+                        let row = &samples[base..];
+                        let start = row.iter().position(|&s| s != 0.0).unwrap_or(0);
+                        let end = row.iter().rposition(|&s| s != 0.0).map_or(0, |i| i + 1);
+                        supports.push((start as u32, end as u32));
+                    }
+                    consequents
+                        .push(FlatConsequent { rule: ri as u32, row: row_of_term[cons.term] });
                 }
             }
             cons_offsets.push(consequents.len() as u32);
+            row_offsets.push(supports.len() as u32);
         }
 
         CompiledFis {
@@ -175,7 +232,10 @@ impl CompiledFis {
             output_bounds,
             cons_offsets,
             consequents,
+            row_offsets,
             samples,
+            supports,
+            xs,
             config,
         }
     }
@@ -276,36 +336,41 @@ impl CompiledFis {
                 };
                 a.hedge.apply(mu)
             });
-            let strength = match self.connectives[r] {
-                Connective::And => self.config.and.fold(degrees),
-                Connective::Or => self.config.or.fold(degrees),
+            // Every hedged degree lies in [0, 1], where the min/max norms'
+            // own clamps are identities, so those folds skip them.
+            let strength = match (self.connectives[r], self.config.and, self.config.or) {
+                (Connective::And, TNorm::Min, _) => degrees.fold(1.0, f64::min),
+                (Connective::Or, _, SNorm::Max) => degrees.fold(0.0, f64::max),
+                (Connective::And, and, _) => and.fold(degrees),
+                (Connective::Or, _, or) => or.fold(degrees),
             };
             scratch.firing[r] = strength * self.weights[r];
         }
 
         // Steps 3–5 — imply/aggregate from the pre-sampled rows, then
-        // defuzzify the scratch curve in place.
+        // defuzzify the scratch curve in place. The operator profile is
+        // dispatched once per call.
+        let min_max = self.config.implication == Implication::Min
+            && self.config.aggregation == Aggregation::Max;
         let res = self.config.resolution;
         for (oi, out) in outputs.iter_mut().enumerate() {
             let (lo, hi) = self.output_bounds[oi];
-            let mu = &mut scratch.mu[..res];
-            mu.fill(0.0);
             let table = &self.consequents
                 [self.cons_offsets[oi] as usize..self.cons_offsets[oi + 1] as usize];
-            for cons in table {
-                let w = scratch.firing[cons.rule as usize];
-                if w <= 0.0 {
-                    continue;
+            let mu = &mut scratch.mu[..res];
+            mu.fill(0.0);
+            let crisp = if min_max {
+                let span =
+                    self.aggregate_min_max(oi, table, &scratch.firing, &mut scratch.strength, mu);
+                match self.config.defuzzifier {
+                    Defuzzifier::Centroid => self.centroid(oi, span, mu),
+                    d => d.defuzzify_slice(lo, hi, mu),
                 }
-                let row = &self.samples[cons.row as usize * res..][..res];
-                let implication = self.config.implication;
-                let aggregation = self.config.aggregation;
-                for (slot, &sample) in mu.iter_mut().zip(row) {
-                    *slot =
-                        aggregation.apply(*slot, implication.apply(w, sample).clamp(0.0, 1.0));
-                }
-            }
-            *out = match self.config.defuzzifier.defuzzify_slice(lo, hi, mu) {
+            } else {
+                self.aggregate_generic(table, &scratch.firing, mu);
+                self.config.defuzzifier.defuzzify_slice(lo, hi, mu)
+            };
+            *out = match crisp {
                 Some(v) => v,
                 None => match self.config.no_fire {
                     NoFirePolicy::Error => return Err(FuzzyError::NoRuleFired),
@@ -314,6 +379,96 @@ impl CompiledFis {
             };
         }
         Ok(())
+    }
+
+    /// Imply and aggregate every fired consequent of one output into `mu`
+    /// rule by rule, in the interpreted engine's order, under any operator
+    /// profile.
+    fn aggregate_generic(&self, table: &[FlatConsequent], firing: &[f64], mu: &mut [f64]) {
+        let res = mu.len();
+        let implication = self.config.implication;
+        let aggregation = self.config.aggregation;
+        for cons in table {
+            let w = firing[cons.rule as usize];
+            if w <= 0.0 {
+                continue;
+            }
+            let row = &self.samples[cons.row as usize * res..][..res];
+            for (slot, &sample) in mu.iter_mut().zip(row) {
+                *slot = aggregation.apply(*slot, implication.apply(w, sample).clamp(0.0, 1.0));
+            }
+        }
+    }
+
+    /// Min implication + max aggregation of one output into the zeroed
+    /// `mu`: fired rules fold into one strength per consequent row, and
+    /// each fired row is applied over its nonzero support only. Returns
+    /// the union `[first, last)` of the fired supports (empty when no
+    /// sample was touched); `mu` is zero outside it.
+    ///
+    /// Firing strengths are finite (weights lie in `[0, 1]` and every
+    /// degree is clamped), so folding them with `max` drops nothing.
+    fn aggregate_min_max(
+        &self,
+        oi: usize,
+        table: &[FlatConsequent],
+        firing: &[f64],
+        strength: &mut [f64],
+        mu: &mut [f64],
+    ) -> (usize, usize) {
+        let res = mu.len();
+        let first_row = self.row_offsets[oi] as usize;
+        let strength = &mut strength[first_row..self.row_offsets[oi + 1] as usize];
+        strength.fill(0.0);
+        for cons in table {
+            let slot = &mut strength[cons.row as usize - first_row];
+            *slot = slot.max(firing[cons.rule as usize]);
+        }
+        let (mut first, mut last) = (res, 0);
+        for (k, &w) in strength.iter().enumerate() {
+            let (start, end) = self.supports[first_row + k];
+            let (start, end) = (start as usize, end as usize);
+            if w <= 0.0 || start == end {
+                continue;
+            }
+            first = first.min(start);
+            last = last.max(end);
+            let row = &self.samples[(first_row + k) * res..][start..end];
+            for (slot, &sample) in mu[start..end].iter_mut().zip(row) {
+                *slot = slot.max(w.min(sample).clamp(0.0, 1.0));
+            }
+        }
+        (first, last)
+    }
+
+    /// The centroid of output `oi`'s aggregate `mu`, which is zero outside
+    /// `span`: [`Defuzzifier::Centroid`]'s trapezoid area and first moment
+    /// fused into one pass over the span, with both accumulators summed in
+    /// grid order so the result keeps its bits.
+    fn centroid(&self, oi: usize, (first, last): (usize, usize), mu: &[f64]) -> Option<f64> {
+        let n = mu.len();
+        let (lo, hi) = self.output_bounds[oi];
+        let xs = &self.xs[oi * n..][..n];
+        let (head, tail) = (mu[0], mu[n - 1]);
+        let (mut interior_area, mut interior_moment) = (0.0, 0.0);
+        for i in first.max(1)..last.min(n - 1) {
+            let m = mu[i];
+            interior_area += m;
+            interior_moment += m * xs[i];
+        }
+        // Every sample lies in [0, 1], and a sum of non-negative terms is
+        // positive exactly when one of them is, so this is the
+        // defuzzifier's `height <= 0` test without a third running fold.
+        if !(head > 0.0 || tail > 0.0 || interior_area > 0.0) {
+            return None;
+        }
+        let dx = (hi - lo) / (n - 1) as f64;
+        let area = dx * (0.5 * (head + tail) + interior_area);
+        if area <= 0.0 {
+            return Defuzzifier::Centroid.defuzzify_slice(lo, hi, mu);
+        }
+        let moment = dx * (0.5 * (head * xs[0] + tail * xs[n - 1]) + interior_moment);
+        Some(moment / area)
     }
 
     /// Single-output convenience: evaluate and return the one crisp output.
@@ -365,8 +520,8 @@ impl CompiledFis {
 
 /// Reusable working memory for [`CompiledFis`] evaluation.
 ///
-/// Holds the fuzzified membership degrees, the per-rule firing strengths
-/// and the aggregated output curve. Buffers grow to the plan's dimensions
+/// Holds the fuzzified membership degrees, the per-rule firing strengths,
+/// the per-row folded strengths and the aggregated output curve. Buffers grow to the plan's dimensions
 /// on first use and are reused (never freed, never reallocated) afterwards,
 /// which is what makes the evaluation loop allocation-free. A scratch may
 /// be reused across different plans; it simply grows to the largest.
@@ -374,6 +529,8 @@ impl CompiledFis {
 pub struct EvalScratch {
     memberships: Vec<f64>,
     firing: Vec<f64>,
+    /// Per consequent row, the folded strength of its fired rules.
+    strength: Vec<f64>,
     mu: Vec<f64>,
 }
 
@@ -391,6 +548,9 @@ impl EvalScratch {
         if self.firing.len() < fis.n_rules() {
             self.firing.resize(fis.n_rules(), 0.0);
         }
+        if self.strength.len() < fis.supports.len() {
+            self.strength.resize(fis.supports.len(), 0.0);
+        }
         if self.mu.len() < fis.config.resolution {
             self.mu.resize(fis.config.resolution, 0.0);
         }
@@ -400,10 +560,8 @@ impl EvalScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::defuzz::Defuzzifier;
     use crate::engine::mamdani::FisBuilder;
-    use crate::membership::Mf;
-    use crate::norms::{Aggregation, Implication, SNorm, TNorm};
+    use crate::rule::{Antecedent, Consequent, Rule};
     use crate::variable::LinguisticVariable;
 
     fn tipper() -> Fis {
@@ -430,6 +588,46 @@ mod tests {
             .unwrap()
             .build()
             .unwrap()
+    }
+
+    /// Every defuzzifier × no-fire policy variant of `fis` under its own
+    /// operators: at each probe the compiled plan returns the interpreted
+    /// engine's bits, or its error.
+    fn assert_bitwise_everywhere(fis: &Fis, probes: &[Vec<f64>]) {
+        for defuzzifier in Defuzzifier::ALL {
+            for no_fire in [NoFirePolicy::Error, NoFirePolicy::UniverseMidpoint] {
+                let config = EngineConfig { defuzzifier, no_fire, ..*fis.config() };
+                let fis = fis.clone().with_config(config);
+                let plan = fis.compile();
+                let mut scratch = EvalScratch::new();
+                let mut out = vec![0.0; plan.n_outputs()];
+                for x in probes {
+                    let compiled = plan.evaluate(x, &mut scratch, &mut out).map(|()| &out);
+                    match (fis.evaluate(x), compiled) {
+                        (Ok(a), Ok(b)) => {
+                            let a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
+                            let b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(a, b, "{defuzzifier:?}/{no_fire:?} drifted at {x:?}");
+                        }
+                        (Err(a), Err(b)) => assert_eq!(a, b, "{defuzzifier:?} at {x:?}"),
+                        (a, b) => panic!("{defuzzifier:?}/{no_fire:?} at {x:?}: {a:?} vs {b:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `steps`-point grid over `[lo, hi]` plus one point past each end.
+    fn axis(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
+        let mut xs: Vec<f64> =
+            (0..steps).map(|i| lo + (hi - lo) * i as f64 / (steps - 1) as f64).collect();
+        xs.extend([lo - 1.0, hi + 1.0]);
+        xs
+    }
+
+    /// The outer product of two axes as probe rows.
+    fn probes2(a: &[f64], b: &[f64]) -> Vec<Vec<f64>> {
+        a.iter().flat_map(|&x| b.iter().map(move |&y| vec![x, y])).collect()
     }
 
     #[test]
@@ -515,6 +713,212 @@ mod tests {
     }
 
     #[test]
+    fn fractional_weights_sharing_a_consequent_match_bitwise() {
+        // Four rules feed `average` with weights below 1, so the grouped
+        // strength is a max over several scaled firings; two more share
+        // `cheap`. Rule order interleaves the groups.
+        let fis = FisBuilder::new("weighted")
+            .input(
+                LinguisticVariable::new("service", 0.0, 10.0)
+                    .with_term("poor", Mf::left_shoulder(2.0, 5.0))
+                    .with_term("good", Mf::triangular(2.0, 5.0, 8.0))
+                    .with_term("excellent", Mf::right_shoulder(5.0, 8.0)),
+            )
+            .input(
+                LinguisticVariable::new("food", 0.0, 10.0)
+                    .with_term("rancid", Mf::left_shoulder(3.0, 7.0))
+                    .with_term("delicious", Mf::right_shoulder(3.0, 7.0)),
+            )
+            .output(
+                LinguisticVariable::new("tip", 0.0, 30.0)
+                    .with_term("cheap", Mf::triangular(0.0, 5.0, 10.0))
+                    .with_term("average", Mf::triangular(7.5, 15.0, 22.5))
+                    .with_term("generous", Mf::triangular(20.0, 25.0, 30.0)),
+            )
+            .rule(
+                Rule::new(
+                    vec![Antecedent::new(0, 1)],
+                    Connective::And,
+                    vec![Consequent::new(0, 1)],
+                )
+                .with_weight(0.9),
+            )
+            .rule(
+                Rule::new(
+                    vec![Antecedent::new(0, 0)],
+                    Connective::And,
+                    vec![Consequent::new(0, 0)],
+                )
+                .with_weight(0.35),
+            )
+            .rule(
+                Rule::new(
+                    vec![Antecedent::new(1, 0)],
+                    Connective::And,
+                    vec![Consequent::new(0, 1)],
+                )
+                .with_weight(0.4),
+            )
+            .rule(
+                Rule::new(
+                    vec![Antecedent::new(0, 2), Antecedent::new(1, 1)],
+                    Connective::And,
+                    vec![Consequent::new(0, 2)],
+                )
+                .with_weight(0.75),
+            )
+            .rule(
+                Rule::new(
+                    vec![Antecedent::new(1, 1)],
+                    Connective::And,
+                    vec![Consequent::new(0, 1)],
+                )
+                .with_weight(0.6),
+            )
+            .rule(
+                Rule::new(
+                    vec![Antecedent::new(0, 0), Antecedent::new(1, 0)],
+                    Connective::Or,
+                    vec![Consequent::new(0, 0)],
+                )
+                .with_weight(0.5),
+            )
+            .rule(
+                Rule::new(
+                    vec![Antecedent::new(0, 2)],
+                    Connective::And,
+                    vec![Consequent::new(0, 1)],
+                )
+                .with_weight(0.05),
+            )
+            .build()
+            .unwrap();
+        let grid = axis(0.0, 10.0, 21);
+        assert_bitwise_everywhere(&fis, &probes2(&grid, &grid));
+    }
+
+    #[test]
+    fn shoulder_supports_touch_both_grid_ends() {
+        // The left shoulder's support starts at sample 0 and the right
+        // shoulder's ends at sample n - 1, so the fused centroid must take
+        // both endpoint terms from the aggregate.
+        let fis = FisBuilder::new("shoulders")
+            .input(
+                LinguisticVariable::new("x", 0.0, 1.0)
+                    .with_term("lo", Mf::left_shoulder(0.3, 0.7))
+                    .with_term("hi", Mf::right_shoulder(0.3, 0.7)),
+            )
+            .output(
+                LinguisticVariable::new("y", 0.0, 1.0)
+                    .with_term("down", Mf::left_shoulder(0.2, 0.6))
+                    .with_term("up", Mf::right_shoulder(0.4, 0.8)),
+            )
+            .rule_str("IF x IS lo THEN y IS down")
+            .unwrap()
+            .rule_str("IF x IS hi THEN y IS up")
+            .unwrap()
+            .resolution(101)
+            .build()
+            .unwrap();
+        let plan = fis.compile();
+        // down: 1 up to x = 0.2, 0 from x = 0.6 (sample 60) on.
+        assert_eq!(plan.supports, [(0, 60), (41, 101)]);
+        assert_bitwise_everywhere(
+            &fis,
+            &axis(0.0, 1.0, 41).into_iter().map(|x| vec![x]).collect::<Vec<_>>(),
+        );
+    }
+
+    #[test]
+    fn output_term_zero_on_every_sample_matches() {
+        // `sliver` lives strictly between the grid points 0.4 and 0.5 of an
+        // 11-sample universe: its row has an empty support. Inputs that
+        // fire only `sliver` leave the aggregate all zero (the no-fire
+        // policy decides); mixed inputs must ignore it.
+        let fis = FisBuilder::new("sliver")
+            .input(
+                LinguisticVariable::new("x", 0.0, 1.0)
+                    .with_term("lo", Mf::left_shoulder(0.2, 0.5))
+                    .with_term("hi", Mf::right_shoulder(0.5, 0.8)),
+            )
+            .output(
+                LinguisticVariable::new("y", 0.0, 1.0)
+                    .with_term("sliver", Mf::triangular(0.42, 0.45, 0.48))
+                    .with_term("top", Mf::right_shoulder(0.6, 0.9)),
+            )
+            .rule_str("IF x IS lo THEN y IS sliver")
+            .unwrap()
+            .rule_str("IF x IS hi THEN y IS top")
+            .unwrap()
+            .resolution(11)
+            .build()
+            .unwrap();
+        let plan = fis.compile();
+        assert_eq!(plan.supports[0].0, plan.supports[0].1, "sliver is zero on the grid");
+        let mut scratch = EvalScratch::new();
+        assert_eq!(plan.evaluate_one(&[0.1], &mut scratch), Err(FuzzyError::NoRuleFired));
+        assert_bitwise_everywhere(
+            &fis,
+            &axis(0.0, 1.0, 51).into_iter().map(|x| vec![x]).collect::<Vec<_>>(),
+        );
+    }
+
+    #[test]
+    fn negative_output_universe_matches() {
+        let fis = FisBuilder::new("negative")
+            .input(
+                LinguisticVariable::new("x", -5.0, 5.0)
+                    .with_term("lo", Mf::left_shoulder(-3.0, 1.0))
+                    .with_term("mid", Mf::triangular(-3.0, 0.0, 3.0))
+                    .with_term("hi", Mf::right_shoulder(-1.0, 3.0)),
+            )
+            .output(
+                LinguisticVariable::new("y", -40.0, -2.5)
+                    .with_term("deep", Mf::left_shoulder(-35.0, -20.0))
+                    .with_term("mid", Mf::trapezoidal(-30.0, -22.0, -18.0, -10.0))
+                    .with_term("shallow", Mf::right_shoulder(-20.0, -5.0)),
+            )
+            .rule_str("IF x IS lo THEN y IS deep")
+            .unwrap()
+            .rule_str("IF x IS mid THEN y IS mid")
+            .unwrap()
+            .rule_str("IF x IS hi THEN y IS shallow")
+            .unwrap()
+            .resolution(257)
+            .build()
+            .unwrap();
+        let plan = fis.compile();
+        assert!(plan.xs.iter().all(|&x| x < 0.0));
+        assert_bitwise_everywhere(
+            &fis,
+            &axis(-5.0, 5.0, 81).into_iter().map(|x| vec![x]).collect::<Vec<_>>(),
+        );
+    }
+
+    #[test]
+    fn hedged_antecedents_match() {
+        let base = tipper();
+        let mut builder = FisBuilder::new("hedged");
+        for v in base.inputs() {
+            builder = builder.input(v.clone());
+        }
+        let fis = builder
+            .output(base.outputs()[0].clone())
+            .rule_str("IF service IS very poor OR food IS somewhat rancid THEN tip IS cheap")
+            .unwrap()
+            .rule_str("IF service IS not good AND food IS extremely delicious THEN tip IS average")
+            .unwrap()
+            .rule_str("IF service IS slightly excellent THEN tip IS generous")
+            .unwrap()
+            .rule_str("IF service IS intensify good THEN tip IS average")
+            .unwrap()
+            .build()
+            .unwrap();
+        let grid = axis(0.0, 10.0, 17);
+        assert_bitwise_everywhere(&fis, &probes2(&grid, &grid));
+    }
+
+    #[test]
     fn no_fire_policies_match() {
         let input = LinguisticVariable::new("x", 0.0, 10.0)
             .with_term("edge", Mf::triangular(0.0, 0.0, 1.0));
@@ -535,6 +939,9 @@ mod tests {
         assert_eq!(strict.evaluate_one(&[5.0], &mut scratch), Err(FuzzyError::NoRuleFired));
         let lenient = build(NoFirePolicy::UniverseMidpoint).compile();
         assert_eq!(lenient.evaluate_one(&[5.0], &mut scratch).unwrap(), 5.0);
+        // Both policies, fired and unfired inputs, against the interpreter.
+        let probes: Vec<Vec<f64>> = axis(0.0, 10.0, 41).into_iter().map(|x| vec![x]).collect();
+        assert_bitwise_everywhere(&build(NoFirePolicy::Error), &probes);
     }
 
     #[test]
@@ -568,6 +975,11 @@ mod tests {
             assert_eq!(out[0].to_bits(), reference[0].to_bits());
             assert_eq!(out[1].to_bits(), reference[1].to_bits());
         }
+        // Each output folds its own rows: the plan keeps two rows per
+        // output, and every defuzzifier matches on a dense sweep.
+        assert_eq!(plan.row_offsets, [0, 2, 4]);
+        let probes: Vec<Vec<f64>> = axis(0.0, 1.0, 41).into_iter().map(|x| vec![x]).collect();
+        assert_bitwise_everywhere(&fis, &probes);
     }
 
     #[test]

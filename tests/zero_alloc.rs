@@ -16,10 +16,10 @@
 //! *minimum* count. Interference can only ever add allocations, so a
 //! single clean run proves the zero-allocation property exactly.
 
-use fuzzy_handover::core::flc::{paper_flc_lut, paper_flc_plan};
+use fuzzy_handover::core::flc::{build_flc_with, paper_flc_lut, paper_flc_plan, FlcProfile};
 use fuzzy_handover::core::{build_paper_flc, ControllerConfig, FuzzyHandoverController};
 use fuzzy_handover::core::{FlcInputs, HandoverPolicy, MeasurementReport};
-use fuzzy_handover::fuzzy::EvalScratch;
+use fuzzy_handover::fuzzy::{Defuzzifier, EvalScratch};
 use fuzzy_handover::geometry::Axial;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -113,6 +113,37 @@ fn decision_plane_allocation_budget() {
         }
     });
     assert_eq!(batch_allocs, 0, "evaluate_batch must not allocate");
+
+    // --- The sparse min–max path from a fresh scratch: its first use
+    // sizes every buffer (the per-row strengths included) even when it
+    // fires only some consequent rows, so no later input allocates. The
+    // fused centroid and the generic defuzzifiers behind the same
+    // aggregation are both covered.
+    for defuzz in [Defuzzifier::Centroid, Defuzzifier::Bisector] {
+        let plan = build_flc_with(FlcProfile::Paper, defuzz).compile();
+        let first_use = min_allocations_of(4, || {
+            let mut fresh = EvalScratch::new();
+            plan.evaluate(&INPUTS[3], &mut fresh, &mut out).unwrap();
+        });
+        assert!(
+            first_use <= 4,
+            "{defuzz:?}: a first use grows at most the four scratch buffers, got {first_use}"
+        );
+        let mut fresh = EvalScratch::new();
+        plan.evaluate(&INPUTS[3], &mut fresh, &mut out).unwrap(); // its first use
+        let sparse_allocs = min_allocations_of(0, || {
+            for _ in 0..100 {
+                for x in &INPUTS {
+                    plan.evaluate(x, &mut fresh, &mut out).unwrap();
+                }
+                plan.evaluate_batch(&flat, &mut hds, &mut fresh).unwrap();
+            }
+        });
+        assert_eq!(
+            sparse_allocs, 0,
+            "{defuzz:?}: a fresh EvalScratch must not allocate after its first use"
+        );
+    }
 
     // --- The LUT plane: allocation-free by construction.
     let lut = paper_flc_lut();
