@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use handover_bench::paper_controller;
 use handover_core::HandoverPolicy;
-use handover_sim::monte_carlo::{run_repetitions, run_repetitions_parallel};
+use handover_sim::monte_carlo::run_repetitions;
 use handover_sim::{Scenario, SimConfig, Simulation};
 use radiolink::{MeasurementNoise, ShadowingConfig};
 use std::hint::black_box;
@@ -54,7 +54,7 @@ fn bench_monte_carlo_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine/monte_carlo_16_reps");
     g.sample_size(20);
     g.bench_function("sequential", |b| {
-        b.iter(|| black_box(run_repetitions(&sim, &walk, factory, 9, REPS)))
+        b.iter(|| black_box(run_repetitions(&sim, &walk, factory, 9, REPS, 1)))
     });
     for threads in [2usize, 4, 8] {
         g.bench_with_input(
@@ -62,7 +62,7 @@ fn bench_monte_carlo_scaling(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    black_box(run_repetitions_parallel(&sim, &walk, factory, 9, REPS, threads))
+                    black_box(run_repetitions(&sim, &walk, factory, 9, REPS, threads))
                 })
             },
         );

@@ -2,6 +2,7 @@
 
 use cellgeom::Vec2;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A point on a resampled trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,17 +91,14 @@ impl Trajectory {
     /// fleet engine keeps one of these per mobile station so a 10k-UE run
     /// never holds 10k resampled trajectories in memory at once.
     pub fn resample_iter(&self, spacing_km: f64) -> ResampleIter<'_> {
-        assert!(spacing_km > 0.0, "spacing must be positive");
-        ResampleIter {
-            waypoints: &self.waypoints,
-            spacing_km,
-            seg: 0,
-            k: 0,
-            n_steps: 0,
-            seg_len: 0.0,
-            cum: 0.0,
-            started: false,
-        }
+        ResampleIter::over(Cow::Borrowed(&self.waypoints), spacing_km)
+    }
+
+    /// Owning form of [`Trajectory::resample_iter`]: the cursor keeps the
+    /// waypoints, so it needs no borrow (the fleet engine stores one in
+    /// each live UE's record).
+    pub fn into_resample_iter(self, spacing_km: f64) -> ResampleIter<'static> {
+        ResampleIter::over(Cow::Owned(self.waypoints), spacing_km)
     }
 
     /// Number of points [`Trajectory::resample`] would produce, without
@@ -120,12 +118,12 @@ impl Trajectory {
     }
 }
 
-/// Lazy arclength resampler over a borrowed [`Trajectory`]; see
+/// Lazy arclength resampler over a borrowed or owned [`Trajectory`]; see
 /// [`Trajectory::resample_iter`]. Yields the bit-identical point sequence
 /// of [`Trajectory::resample`].
 #[derive(Debug, Clone)]
 pub struct ResampleIter<'a> {
-    waypoints: &'a [Vec2],
+    waypoints: Cow<'a, [Vec2]>,
     spacing_km: f64,
     /// Index of the current segment's start waypoint.
     seg: usize,
@@ -138,6 +136,22 @@ pub struct ResampleIter<'a> {
     cum: f64,
     /// Whether the leading start point has been yielded.
     started: bool,
+}
+
+impl<'a> ResampleIter<'a> {
+    fn over(waypoints: Cow<'a, [Vec2]>, spacing_km: f64) -> Self {
+        assert!(spacing_km > 0.0, "spacing must be positive");
+        ResampleIter {
+            waypoints,
+            spacing_km,
+            seg: 0,
+            k: 0,
+            n_steps: 0,
+            seg_len: 0.0,
+            cum: 0.0,
+            started: false,
+        }
+    }
 }
 
 impl Iterator for ResampleIter<'_> {
@@ -312,6 +326,8 @@ mod tests {
                     assert_eq!(a.cum_km.to_bits(), b.cum_km.to_bits());
                 }
                 assert_eq!(t.resample_len(spacing), eager.len());
+                let owned: Vec<TracePoint> = t.clone().into_resample_iter(spacing).collect();
+                assert_eq!(owned, lazy, "the owning cursor yields the same points");
             }
         }
     }

@@ -351,7 +351,9 @@ impl FleetCheckpoint {
     /// Typed validation: the snapshot must carry the supported
     /// [`CHECKPOINT_VERSION`] and satisfy the structural invariants the
     /// resume path depends on (both halves sorted ascending by UE id,
-    /// every live UE's per-cell lanes mutually consistent).
+    /// every live UE's per-cell lanes mutually consistent). Whether the
+    /// lanes fit a layout is the engine's check
+    /// ([`FleetSimulation::check_checkpoint`](crate::fleet::FleetSimulation::check_checkpoint)).
     pub fn try_validate(&self) -> Result<(), CheckpointError> {
         if self.version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion {
@@ -371,11 +373,12 @@ impl FleetCheckpoint {
         }
         for ue in &self.live {
             let n = ue.engine.shadow.values.len();
-            if ue.engine.smoothers.len() != n {
+            if ue.engine.smoothers.len() != n || ue.engine.shadow.fresh.len() != n {
                 return Err(CheckpointError::ShapeMismatch(format!(
-                    "live UE {}: {} smoothers vs {} shadowing slots",
+                    "live UE {}: {} smoothers and {} freshness flags vs {} shadowing slots",
                     ue.ue_id,
                     ue.engine.smoothers.len(),
+                    ue.engine.shadow.fresh.len(),
                     n
                 )));
             }

@@ -3,14 +3,15 @@
 //!
 //! ## Architecture
 //!
-//! * **Struct-of-arrays UE store** — each worker holds its chunk of UEs
-//!   as parallel vectors (trajectory cursor, engine state with position /
-//!   serving cell / smoother + shadowing state, policy, tally), never the
-//!   whole fleet, so memory stays proportional to
-//!   `workers × chunk_size`, not to the fleet size. Retired UE states
-//!   are recycled through a per-worker arena (a reset reuses
-//!   every allocation), so a million-UE run performs a bounded number of
-//!   state allocations.
+//! * **One record per UE, named phases** — each worker holds its chunk
+//!   of UEs, never the whole fleet, as one record per UE (engine state,
+//!   trajectory cursor, policy, churn window, tallies, optional trace),
+//!   so memory stays proportional to `workers × chunk_size`. Every
+//!   lockstep step runs five phases: advance/retire, dense mean RSS,
+//!   measure + outage + policy front half, one batched FLC evaluation,
+//!   commit. Retired UE states are recycled through a per-worker arena
+//!   (a reset reuses every allocation), so a million-UE run performs a
+//!   bounded number of state allocations.
 //! * **Compiled measurement plane** — per measurement step the mean path
 //!   loss is computed per (BS, UE-chunk) through the compiled link budget
 //!   ([`radiolink::CompiledBsRadio`], every position-independent term
@@ -52,8 +53,8 @@
 //! [`CellLayout`]: cellgeom::CellLayout
 
 use crate::checkpoint::{CheckpointError, FleetCheckpoint, UeCheckpoint, CHECKPOINT_VERSION};
-use crate::dynamics::DynamicsConfig;
-use crate::engine::{SimConfig, Simulation, UeState};
+use crate::dynamics::{ChurnConfig, DynamicsConfig};
+use crate::engine::{SimConfig, Simulation, StepOutcome, UeState};
 use crate::resilience::{ConfigError, FaultInjector};
 use crate::shard;
 use crate::traffic::{replay_traffic, TrafficConfig, UeTrace};
@@ -65,10 +66,11 @@ use handover_core::baselines::{
 use handover_core::{
     jain_index, paper_flc_lut, CellLoadHistogram, ControllerConfig, Decision, DynamicReport,
     DynamicTrafficStats, FleetSummary, FlcStage, FuzzyHandoverController, HandoverPolicy,
-    LatencyPercentiles, LoadField, MeasurementReport, StayReason, TrafficReport,
+    LatencyPercentiles, LoadField, MeasurementReport, PolicyCheckpoint, StayReason, TrafficReport,
 };
 use mobility::{
-    GaussMarkov, ManhattanGrid, MobilityModel, RandomWalk, RandomWaypoint, Trajectory,
+    GaussMarkov, ManhattanGrid, MobilityModel, RandomWalk, RandomWaypoint, ResampleIter,
+    TracePoint, Trajectory,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -603,20 +605,19 @@ enum ChunkUes<'a> {
 /// Where a fleet pass delivers each UE as it leaves its chunk. Every
 /// worker fills its own sink; [`PassSink::merge`] joins them after the
 /// pass, in shard order.
-trait PassSink: Send {
+trait PassSink: Send + Sized {
+    /// Whether the sink keeps the serving-cell traces of finished UEs
+    /// (a pass whose sink drops them records none).
+    const KEEPS_TRACES: bool;
     /// The empty sink of one of `workers` shards, which steps `ues` UEs.
-    fn for_shard(workers: usize, ues: usize) -> Self
-    where
-        Self: Sized;
+    fn for_shard(workers: usize, ues: usize) -> Self;
     /// A UE finished its walk or departed; `trace` is its serving-cell
     /// trace when the pass records traces.
     fn finish(&mut self, outcome: UeOutcome, trace: Option<UeTrace>);
     /// A UE was still live at the pass's step bound.
     fn suspend(&mut self, ue: UeCheckpoint);
     /// Join the per-worker sinks into the pass result.
-    fn merge(parts: Vec<Self>) -> Self
-    where
-        Self: Sized;
+    fn merge(parts: Vec<Self>) -> Self;
 }
 
 /// The collecting sink of the run and checkpoint entry points. After
@@ -629,6 +630,8 @@ struct Collected {
 }
 
 impl PassSink for Collected {
+    const KEEPS_TRACES: bool = true;
+
     fn for_shard(_workers: usize, _ues: usize) -> Self {
         Collected::default()
     }
@@ -675,6 +678,8 @@ struct Folded {
 }
 
 impl PassSink for Folded {
+    const KEEPS_TRACES: bool = false;
+
     fn for_shard(workers: usize, ues: usize) -> Self {
         Folded { summary: FleetSummary::default(), workers, hd_sums: vec![0.0; ues] }
     }
@@ -727,9 +732,10 @@ struct ChunkArena {
     flc_scratch: EvalScratch,
     /// Retired UE states available for reuse.
     spare: Vec<UeState>,
-    active_idx: Vec<usize>,
+    /// Chunk slots of the UEs that measure this step, and their points.
+    active: Vec<usize>,
+    points: Vec<TracePoint>,
     positions: Vec<cellgeom::Vec2>,
-    points: Vec<mobility::TracePoint>,
     /// Dense mean-RSS matrix, `cells × active`.
     rss_matrix: Vec<f64>,
     /// Per-cell means of the UE currently being measured.
@@ -745,6 +751,8 @@ struct ChunkArena {
     /// run and stays bit-identical.
     rng_scratch: Vec<f64>,
     subset: Vec<u32>,
+    /// Per-cell BS-failure mask of the current step.
+    down: Vec<bool>,
     reports: Vec<MeasurementReport>,
     pending: Vec<StepPending>,
     batch_inputs: Vec<f64>,
@@ -757,19 +765,207 @@ impl ChunkArena {
         ChunkArena {
             flc_scratch: EvalScratch::new(),
             spare: Vec::new(),
-            active_idx: Vec::new(),
-            positions: Vec::new(),
+            active: Vec::new(),
             points: Vec::new(),
+            positions: Vec::new(),
             rss_matrix: Vec::new(),
             means: vec![0.0; n_cells],
             rng_scratch: Vec::with_capacity(2 * n_cells),
             subset: Vec::with_capacity(n_cells),
+            down: vec![false; n_cells],
             reports: Vec::new(),
             pending: Vec::new(),
             batch_inputs: Vec::new(),
             batch_prev: Vec::new(),
             batch_hd: Vec::new(),
         }
+    }
+}
+
+/// The per-pass invariants of a fleet pass, resolved once by
+/// [`FleetSimulation::pass`] and shared by every worker. The phases of
+/// the chunk step loop are its methods.
+struct ChunkCtx<'p> {
+    fleet: &'p FleetSimulation,
+    cfg: &'p SimConfig,
+    spec: &'p dyn UeSpec,
+    base_seed: u64,
+    /// Frozen occupancy timeline handed to every policy (load-feedback
+    /// pass only).
+    load_field: Option<&'p Arc<LoadField>>,
+    /// Lockstep step at which every chunk suspends its still-live UEs.
+    max_steps: Option<u64>,
+    plan: PrunePlan,
+    /// Whether UEs carry serving-cell traces.
+    tracing: bool,
+    churn: Option<&'p ChurnConfig>,
+    /// Scheduled BS outages as `(cell index, from step, until step)`.
+    outages: Vec<(usize, u64, u64)>,
+}
+
+/// One UE of a chunk, from the step it enters the chunk to the step it
+/// leaves it. [`LiveUe::fresh`] and [`LiveUe::restore`] build it;
+/// [`LiveUe::suspend`] and [`LiveUe::finish`] are the only ways out, to a
+/// [`UeCheckpoint`] or a [`UeOutcome`].
+struct LiveUe {
+    id: u64,
+    state: UeState,
+    /// Lazy measurement-point cursor over the UE's own trajectory.
+    cursor: ResampleIter<'static>,
+    policy: Box<dyn HandoverPolicy + Send>,
+    /// Churn presence window `(arrival step, lifetime in steps)`; `None`
+    /// without churn.
+    window: Option<(u64, u64)>,
+    hd_sum: f64,
+    hd_count: u64,
+    travelled_km: f64,
+    /// Run-length-encoded serving-cell trace, `Some` when the pass
+    /// records traces.
+    trace: Option<UeTrace>,
+}
+
+/// What a live UE does at one lockstep step.
+enum Advance {
+    /// Its churn arrival is still ahead: it sits the step out.
+    Parked,
+    /// It measures at this point.
+    At(TracePoint),
+    /// Its walk ended or its churn lifetime ran out: it retires.
+    Done,
+}
+
+impl LiveUe {
+    /// UE `id` at the start of its walk, on a recycled state when the
+    /// arena has one (same layout, every allocation reused).
+    fn fresh(ctx: &ChunkCtx<'_>, id: u64, spare: &mut Vec<UeState>) -> Self {
+        let trajectory = ctx.spec.trajectory(id);
+        let (start, seed) = (trajectory.start(), ue_seed(ctx.base_seed, id));
+        let state = match spare.pop() {
+            Some(mut state) => {
+                state.reset(ctx.cfg, start, seed);
+                state
+            }
+            None => UeState::new(ctx.cfg, start, seed),
+        };
+        LiveUe::enter(ctx, id, state, trajectory, None)
+    }
+
+    /// A UE suspended into `cp`, exactly as it was when suspended.
+    fn restore(ctx: &ChunkCtx<'_>, cp: &UeCheckpoint) -> Self {
+        let state = UeState::from_snapshot(ctx.cfg, &cp.engine);
+        let trajectory = ctx.spec.trajectory(cp.ue_id);
+        let mut ue = LiveUe::enter(ctx, cp.ue_id, state, trajectory, Some(&cp.policy));
+        // The regenerated cursor skips the points the UE has already
+        // measured: one per step it took (fewer than the snapshot's step
+        // for a late churn arrival).
+        ue.cursor.by_ref().take(cp.engine.steps as usize).for_each(drop);
+        (ue.hd_sum, ue.hd_count, ue.travelled_km) = (cp.hd_sum, cp.hd_count, cp.travelled_km);
+        if let Some(trace) = &mut ue.trace {
+            trace.steps = cp.trace_steps;
+            trace.changes.clone_from(&cp.trace_changes);
+        }
+        ue
+    }
+
+    /// What both entries share: the policy (restored from `policy_cp`
+    /// when resuming, and handed the pass's occupancy field), the cursor,
+    /// the churn window, and empty tallies and trace.
+    fn enter(
+        ctx: &ChunkCtx<'_>,
+        id: u64,
+        state: UeState,
+        trajectory: Trajectory,
+        policy_cp: Option<&PolicyCheckpoint>,
+    ) -> Self {
+        let mut policy = ctx.spec.policy(id);
+        if let Some(cp) = policy_cp {
+            policy.restore_policy_checkpoint(cp);
+        }
+        if let Some(field) = ctx.load_field {
+            policy.set_load_field(field);
+        }
+        LiveUe {
+            id,
+            state,
+            cursor: trajectory.into_resample_iter(ctx.cfg.sample_spacing_km),
+            policy,
+            window: ctx.churn.map(|churn| churn.window(ctx.base_seed, id)),
+            hd_sum: 0.0,
+            hd_count: 0,
+            travelled_km: 0.0,
+            trace: ctx.tracing.then(|| UeTrace { ue_id: id, steps: 0, changes: Vec::new() }),
+        }
+    }
+
+    /// Freeze the UE into its checkpoint; its state comes back for
+    /// recycling.
+    fn suspend(self) -> (UeCheckpoint, UeState) {
+        let (trace_steps, trace_changes) =
+            self.trace.map_or((0, Vec::new()), |trace| (trace.steps, trace.changes));
+        let cp = UeCheckpoint {
+            ue_id: self.id,
+            engine: self.state.snapshot(),
+            policy: self.policy.policy_checkpoint(),
+            hd_sum: self.hd_sum,
+            hd_count: self.hd_count,
+            travelled_km: self.travelled_km,
+            trace_steps,
+            trace_changes,
+        };
+        (cp, self.state)
+    }
+
+    /// Reduce a retired UE to its outcome and trace; its state comes
+    /// back for recycling.
+    fn finish(self, cfg: &SimConfig) -> (UeOutcome, Option<UeTrace>, UeState) {
+        let log = self.state.log();
+        let outcome = UeOutcome {
+            ue_id: self.id,
+            steps: self.state.step_count() as u64,
+            handovers: log.handover_count() as u64,
+            ping_pongs: log.ping_pong_report(cfg.pingpong_window_steps).ping_pongs as u64,
+            outage_steps: log.outage_step_count() as u64,
+            hd_sum: self.hd_sum,
+            hd_count: self.hd_count,
+            travelled_km: self.travelled_km,
+            final_serving: self.state.serving_cell(cfg),
+        };
+        (outcome, self.trace, self.state)
+    }
+
+    /// The UE's next measurement point at lockstep `step`. With churn, a
+    /// UE whose arrival is still ahead is parked, and one past its drawn
+    /// lifetime departs exactly like one whose trajectory ended.
+    fn advance(&mut self, step: u64) -> Advance {
+        if let Some((arrival, lifetime)) = self.window {
+            if step < arrival {
+                return Advance::Parked;
+            }
+            if self.state.step_count() as u64 >= lifetime {
+                return Advance::Done;
+            }
+        }
+        self.cursor.next().map_or(Advance::Done, Advance::At)
+    }
+
+    /// Fold one committed step into the tallies and the trace.
+    fn record(&mut self, step: u64, outcome: &StepOutcome, point: TracePoint) {
+        if let Some(trace) = &mut self.trace {
+            // Change points are recorded at the *global* lockstep step:
+            // without churn it equals the per-UE step counter (every UE
+            // starts at step 0), with churn it puts arrivals and handovers
+            // of different UEs on one shared timeline for the replay.
+            let cell = cell_index_u32(outcome.serving_after_idx);
+            if trace.changes.last().map_or(true, |&(_, c)| c != cell) {
+                trace.changes.push((step, cell));
+            }
+            trace.steps = step + 1;
+        }
+        if let Some(hd) = outcome.hd {
+            self.hd_sum += hd;
+            self.hd_count += 1;
+        }
+        self.travelled_km = point.cum_km;
     }
 }
 
@@ -998,9 +1194,8 @@ impl FleetSimulation {
         base_seed: u64,
     ) -> Result<FleetResult, FleetError> {
         self.validate_planes()?;
-        let record = self.traffic.is_some() || self.dynamics.is_some();
         let (out, cell_load) =
-            self.pass::<Collected>(spec, PassSource::Fresh(ids), base_seed, record, None, None)?;
+            self.pass::<Collected>(spec, PassSource::Fresh(ids), base_seed, None, None)?;
         debug_assert!(out.live.is_empty(), "unbounded passes run every UE to completion");
         let result = assemble(out.outcomes, cell_load);
         self.apply_traffic(spec, ids, base_seed, result, out.traces)
@@ -1027,15 +1222,8 @@ impl FleetSimulation {
         max_steps: u64,
     ) -> Result<FleetCheckpoint, FleetError> {
         self.validate_planes()?;
-        let tracing = self.traffic.is_some() || self.dynamics.is_some();
-        let (out, cell_load) = self.pass::<Collected>(
-            spec,
-            PassSource::Fresh(ids),
-            base_seed,
-            tracing,
-            None,
-            Some(max_steps),
-        )?;
+        let (out, cell_load) =
+            self.pass::<Collected>(spec, PassSource::Fresh(ids), base_seed, None, Some(max_steps))?;
         Ok(FleetCheckpoint {
             version: CHECKPOINT_VERSION,
             step: max_steps,
@@ -1044,7 +1232,7 @@ impl FleetSimulation {
             finished_traces: out.traces,
             live: out.live,
             cell_load,
-            tracing,
+            tracing: self.tracing(),
         })
     }
 
@@ -1072,16 +1260,18 @@ impl FleetSimulation {
 
     /// Snapshot-vs-engine compatibility, run by every resume path before
     /// any worker starts: version + shape invariants
-    /// ([`FleetCheckpoint::try_validate`]), the tracing plane, and the
-    /// serving-cell traces against this engine's layout — finished
-    /// traces strictly ascending by UE id, and in every finished or live
-    /// trace each change point names a layout cell, change steps
-    /// strictly ascend below the trace's step count, and that count
-    /// never passes the snapshot's step. A forged trace is rejected here
-    /// instead of indexing out of bounds in the traffic replay.
+    /// ([`FleetCheckpoint::try_validate`]), the tracing plane, every
+    /// live UE's per-cell lanes against this engine's layout, and the
+    /// serving-cell traces against the layout — finished traces strictly
+    /// ascending by UE id, and in every finished or live trace each
+    /// change point names a layout cell, change steps strictly ascend
+    /// below the trace's step count, and that count never passes the
+    /// snapshot's step. A forged lane or trace is rejected here instead
+    /// of panicking a worker or indexing out of bounds in the traffic
+    /// replay.
     pub fn check_checkpoint(&self, cp: &FleetCheckpoint) -> Result<(), CheckpointError> {
         cp.try_validate()?;
-        let engine_tracing = self.traffic.is_some() || self.dynamics.is_some();
+        let engine_tracing = self.tracing();
         if cp.tracing != engine_tracing {
             return Err(CheckpointError::PlaneMismatch {
                 checkpoint_tracing: cp.tracing,
@@ -1094,6 +1284,12 @@ impl FleetSimulation {
             ));
         }
         let n_cells = self.config().layout.cells().len();
+        // try_validate made every live UE's lanes as long as its
+        // shadowing lane, which must have one slot per layout cell.
+        if let Some(ue) = cp.live.iter().find(|ue| ue.engine.shadow.values.len() != n_cells) {
+            let msg = format!("live UE {}: lanes do not fit the {n_cells}-cell layout", ue.ue_id);
+            return Err(CheckpointError::ShapeMismatch(msg));
+        }
         let finished = cp.finished_traces.iter().map(|t| (t.ue_id, t.steps, &t.changes));
         let live = cp.live.iter().map(|ue| (ue.ue_id, ue.trace_steps, &ue.trace_changes));
         for (ue_id, steps, changes) in finished.chain(live) {
@@ -1127,7 +1323,7 @@ impl FleetSimulation {
     ) -> Result<(Collected, CellLoadHistogram), FleetError> {
         let restored = PassSource::Restored(&cp.live, cp.step);
         let (out, out_load) =
-            self.pass::<Collected>(spec, restored, cp.base_seed, cp.tracing, None, max_steps)?;
+            self.pass::<Collected>(spec, restored, cp.base_seed, None, max_steps)?;
         let finished = Collected {
             outcomes: cp.finished.clone(),
             traces: cp.finished_traces.clone(),
@@ -1171,28 +1367,6 @@ impl FleetSimulation {
         })
     }
 
-    /// One incremental slice of a fleet run: start fresh (`from` is
-    /// `None` ⇒ [`FleetSimulation::run_partial`]) or continue an
-    /// existing snapshot (`Some` ⇒ [`FleetSimulation::resume_partial`];
-    /// `ids` and `base_seed` are then taken from the snapshot) up to
-    /// `target_step`. This is the session primitive of the
-    /// `handover-server` crate: a run driven by *any* sequence of
-    /// `advance` bounds is bit-identical to the uninterrupted batch run
-    /// — the PR 6 chaining contract, re-stated as one entry point.
-    pub fn advance(
-        &self,
-        spec: &dyn UeSpec,
-        from: Option<&FleetCheckpoint>,
-        ids: &[u64],
-        base_seed: u64,
-        target_step: u64,
-    ) -> Result<FleetCheckpoint, FleetError> {
-        match from {
-            None => self.run_partial(spec, ids, base_seed, target_step),
-            Some(cp) => self.resume_partial(spec, cp, target_step),
-        }
-    }
-
     /// Run UEs `0..n_ues` through the same pass as [`FleetSimulation::run`]
     /// with a folding sink: ids are generated lazily and every outcome
     /// folds into a running aggregate instead of the per-UE outcome
@@ -1233,7 +1407,7 @@ impl FleetSimulation {
         }
         self.validate_planes()?;
         let (folded, cell_load) =
-            self.pass::<Folded>(spec, PassSource::Range(n_ues), base_seed, false, None, None)?;
+            self.pass::<Folded>(spec, PassSource::Range(n_ues), base_seed, None, None)?;
         Ok(FleetStreamSummary { summary: folded.summary, cell_load })
     }
 
@@ -1262,14 +1436,8 @@ impl FleetSimulation {
         let (mut report, field, mut stats) = replay(&traces)?;
         if traffic.load_feedback {
             let field = Arc::new(field);
-            let (fed, fed_load) = self.pass::<Collected>(
-                spec,
-                PassSource::Fresh(ids),
-                base_seed,
-                true,
-                Some(&field),
-                None,
-            )?;
+            let (fed, fed_load) =
+                self.pass::<Collected>(spec, PassSource::Fresh(ids), base_seed, Some(&field), None)?;
             (report, _, stats) = replay(&fed.traces)?;
             result = assemble(fed.outcomes, fed_load);
             traces = fed.traces;
@@ -1281,42 +1449,63 @@ impl FleetSimulation {
         Ok(result)
     }
 
+    /// Whether this engine's passes record serving-cell traces: the
+    /// traffic and dynamics planes replay them.
+    fn tracing(&self) -> bool {
+        self.traffic.is_some() || self.dynamics.is_some()
+    }
+
     /// One fleet pass: the sharded parallel stepping, optionally
-    /// recording serving-cell traces (traffic plane), optionally
     /// injecting a frozen occupancy field (load-feedback pass), and
-    /// optionally stopping at a lockstep step bound (checkpointing).
-    /// Worker `w` steps the `w`-th round-robin shard of `source`, cut
-    /// lazily into chunks, into its own sink `S`; a worker panic
-    /// surfaces as the lowest failing shard's [`FleetError::WorkerPanic`].
+    /// optionally stopping at a lockstep step bound (checkpointing). UEs
+    /// carry serving-cell traces when the engine's planes replay them and
+    /// the sink keeps them. Worker `w` steps the `w`-th round-robin shard
+    /// of `source`, cut lazily into chunks, into its own sink `S`; a
+    /// worker panic surfaces as the lowest failing shard's
+    /// [`FleetError::WorkerPanic`].
     fn pass<S: PassSink>(
         &self,
         spec: &dyn UeSpec,
         source: PassSource<'_>,
         base_seed: u64,
-        record_traces: bool,
         load_field: Option<&Arc<LoadField>>,
         max_steps: Option<u64>,
     ) -> Result<(S, CellLoadHistogram), FleetError> {
         let n_ues = source.ue_count();
         let workers = self.workers.clamp(1, n_ues.max(1));
         let cells = self.config().layout.cells();
+        let ctx = ChunkCtx {
+            fleet: self,
+            cfg: self.config(),
+            spec,
+            base_seed,
+            load_field,
+            max_steps,
+            plan: self.candidate_mode.plan(cells.len()),
+            tracing: S::KEEPS_TRACES && self.tracing(),
+            churn: self.dynamics.as_ref().and_then(|d| d.churn.as_ref()),
+            outages: self
+                .dynamics
+                .iter()
+                .flat_map(|d| &d.failures)
+                .map(|o| {
+                    let idx = cells
+                        .iter()
+                        .position(|&c| c == o.cell)
+                        // invariant: with_dynamics and validate_planes
+                        // both check outage cells against the layout
+                        // before any pass runs.
+                        .expect("outage cell must be in the layout");
+                    (idx, o.from_step, o.until_step)
+                })
+                .collect(),
+        };
         let parts = shard::map_ordered(workers, workers, |w| {
             let mut arena = ChunkArena::new(cells.len());
             let mut load = CellLoadHistogram::new(cells.iter().copied());
             let mut sink = S::for_shard(workers, n_ues.saturating_sub(w).div_ceil(workers));
             let mut run_chunk = |chunk: ChunkUes<'_>, start_step: u64| {
-                self.simulate_chunk(
-                    spec,
-                    chunk,
-                    base_seed,
-                    load_field,
-                    start_step,
-                    max_steps,
-                    record_traces,
-                    &mut arena,
-                    &mut load,
-                    &mut sink,
-                );
+                ctx.simulate_chunk(chunk, start_step, &mut arena, &mut load, &mut sink);
             };
             let size = self.chunk_size;
             match source {
@@ -1348,187 +1537,37 @@ impl FleetSimulation {
         }
         Ok((S::merge(sinks), cell_load))
     }
+}
 
-    /// Step one chunk of UEs in lockstep, batching the mean RSS
-    /// evaluation per (BS, chunk) and the fuzzy FLC evaluation per chunk
-    /// at every step, and hand every UE that leaves the chunk to `sink`.
-    /// With `tracing` the chunk also records every UE's per-step serving
-    /// cell (traffic plane); with `load_field` it hands every policy the
-    /// frozen occupancy timeline before stepping. With `max_steps` the
-    /// chunk stops at that lockstep step and suspends the still-live UEs
-    /// into the sink; `start_step` > 0 resumes restored UEs mid-walk
-    /// (fast-forwarding their trajectory cursors).
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_chunk(
+impl ChunkCtx<'_> {
+    /// Step one chunk of UEs in lockstep from `start_step` (> 0 for
+    /// restored UEs) until every UE has finished into `sink` or, at the
+    /// pass's step bound, been suspended into it. Every step runs the
+    /// phases in order: advance/retire, dense mean RSS, measure + outage
+    /// + `decide_pre`, batched FLC, commit.
+    fn simulate_chunk<S: PassSink>(
         &self,
-        spec: &dyn UeSpec,
         chunk: ChunkUes<'_>,
-        base_seed: u64,
-        load_field: Option<&Arc<LoadField>>,
         start_step: u64,
-        max_steps: Option<u64>,
-        tracing: bool,
         arena: &mut ChunkArena,
         load: &mut CellLoadHistogram,
-        sink: &mut dyn PassSink,
+        sink: &mut S,
     ) {
-        let cfg = self.config();
-        let cells = cfg.layout.cells();
-        let compiled = self.sim.compiled_radio();
-        let bs_positions = self.sim.bs_positions();
-        let prune_plan = self.candidate_mode.plan(cells.len());
-
-        // Split the arena into independent buffers so each phase can
-        // borrow exactly what it needs.
-        let ChunkArena {
-            flc_scratch,
-            spare,
-            active_idx,
-            positions,
-            points,
-            rss_matrix,
-            means,
-            rng_scratch,
-            subset,
-            reports,
-            pending,
-            batch_inputs,
-            batch_prev,
-            batch_hd,
-        } = arena;
-        debug_assert_eq!(means.len(), cells.len(), "arena sized for this layout");
-
-        // The scalar mean of one (BS, position) pair (pruned modes).
-        let mean_at = |slot: usize, pos: cellgeom::Vec2| -> f64 {
-            compiled.received_power_dbm(bs_positions[slot], pos)
+        let mut ues: Vec<LiveUe> = match chunk {
+            ChunkUes::Fresh(ids) => {
+                ids.iter().map(|&id| LiveUe::fresh(self, id, &mut arena.spare)).collect()
+            }
+            ChunkUes::Restored(live) => live.iter().map(|cp| LiveUe::restore(self, cp)).collect(),
         };
-
-        let ids: Vec<u64> = match chunk {
-            ChunkUes::Fresh(ids) => ids.to_vec(),
-            ChunkUes::Restored(live) => live.iter().map(|cp| cp.ue_id).collect(),
-        };
-        let n = ids.len();
-
-        // Dynamic-workload plane: per-UE churn presence windows and the
-        // scheduled-outage timeline, both pure functions of the config
-        // and seed (recomputed identically by a resumed checkpoint).
-        // `None`/empty on the static path — the hot loop below then
-        // takes exactly its pre-dynamics branches.
-        let churn_windows: Option<Vec<(u64, u64)>> = self
-            .dynamics
-            .as_ref()
-            .and_then(|d| d.churn.as_ref())
-            .map(|churn| ids.iter().map(|&id| churn.window(base_seed, id)).collect());
-        let outages: Vec<(usize, u64, u64)> = self
-            .dynamics
-            .as_ref()
-            .map(|d| {
-                d.failures
-                    .iter()
-                    .map(|o| {
-                        let idx = cells
-                            .iter()
-                            .position(|&c| c == o.cell)
-                            // invariant: with_dynamics and
-                            // validate_planes both check outage cells
-                            // against the layout before any pass runs.
-                            .expect("outage cell must be in the layout");
-                        (idx, o.from_step, o.until_step)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let mut down_mask: Vec<bool> =
-            if outages.is_empty() { Vec::new() } else { vec![false; cells.len()] };
-
-        // Struct-of-arrays chunk store. Trajectories hold only waypoints;
-        // the resampled measurement points stream lazily per UE.
-        let trajectories: Vec<Trajectory> = ids.iter().map(|&id| spec.trajectory(id)).collect();
-        let mut cursors: Vec<mobility::ResampleIter<'_>> = trajectories
-            .iter()
-            .map(|t| t.resample_iter(cfg.sample_spacing_km))
-            .collect();
-        // Restored UEs have already consumed as many measurement points
-        // as they took steps; fast-forward the regenerated cursors to
-        // match (a live UE's cursor yields at least that many points by
-        // construction). Without churn every live UE has taken exactly
-        // `start_step` steps; with churn a late arrival has taken fewer
-        // (and a not-yet-arrived UE none), which `cp.engine.steps`
-        // captures per UE.
-        if let ChunkUes::Restored(live) = chunk {
-            for (cursor, cp) in cursors.iter_mut().zip(live) {
-                for _ in 0..cp.engine.steps {
-                    if cursor.next().is_none() {
-                        break;
-                    }
-                }
-            }
-        }
-        let mut policies: Vec<Box<dyn HandoverPolicy + Send>> =
-            ids.iter().map(|&id| spec.policy(id)).collect();
-        if let ChunkUes::Restored(live) = chunk {
-            for (policy, cp) in policies.iter_mut().zip(live) {
-                policy.restore_policy_checkpoint(&cp.policy);
-            }
-        }
-        if let Some(field) = load_field {
-            for policy in &mut policies {
-                policy.set_load_field(field);
-            }
-        }
-        let mut ues: Vec<Option<UeState>> = match chunk {
-            ChunkUes::Fresh(_) => ids
-                .iter()
-                .enumerate()
-                .map(|(i, &id)| {
-                    let start = trajectories[i].start();
-                    let seed = ue_seed(base_seed, id);
-                    Some(match spare.pop() {
-                        // Recycle a retired state: same layout, every
-                        // allocation reused.
-                        Some(mut state) => {
-                            state.reset(cfg, start, seed);
-                            state
-                        }
-                        None => UeState::new(cfg, start, seed),
-                    })
-                })
-                .collect(),
-            ChunkUes::Restored(live) => live
-                .iter()
-                .map(|cp| Some(UeState::from_snapshot(cfg, &cp.engine)))
-                .collect(),
-        };
-        let mut hd_sums = vec![0.0f64; n];
-        let mut hd_counts = vec![0u64; n];
-        let mut travelled = vec![0.0f64; n];
-        // Per-UE serving-cell traces for the traffic plane, run-length
-        // encoded as (step, cell) change points + a step counter (empty
-        // and untouched unless tracing).
-        let mut trace_bufs: Vec<Vec<(u64, u32)>> =
-            if tracing { vec![Vec::new(); n] } else { Vec::new() };
-        let mut trace_steps: Vec<u64> = if tracing { vec![0; n] } else { Vec::new() };
-        if let ChunkUes::Restored(live) = chunk {
-            for (i, cp) in live.iter().enumerate() {
-                hd_sums[i] = cp.hd_sum;
-                hd_counts[i] = cp.hd_count;
-                travelled[i] = cp.travelled_km;
-                if tracing {
-                    trace_bufs[i] = cp.trace_changes.clone();
-                    trace_steps[i] = cp.trace_steps;
-                }
-            }
-        }
-
         // The chunk's shared FLC plan: when every pending fuzzy decision
         // runs on this plan (pointer-compared), the chunk evaluates them
         // through one `CompiledFis::evaluate_batch` call per step instead
         // of one virtual `decide` per UE. Controllers on other planes (a
         // custom per-UE FIS, the LUT/Sugeno ablations) fall back to their
         // own scalar path, so heterogeneous chunks stay correct.
-        let chunk_plan: Option<Arc<CompiledFis>> = policies
+        let flc_plan: Option<Arc<CompiledFis>> = ues
             .iter_mut()
-            .find_map(|p| p.as_fuzzy().and_then(|f| f.shared_plan().cloned()));
+            .find_map(|ue| ue.policy.as_fuzzy().and_then(|f| f.shared_plan().cloned()));
 
         let mut step = start_step;
         loop {
@@ -1536,326 +1575,319 @@ impl FleetSimulation {
             // this lockstep step (every shard that gets there, used up
             // when the pass ends; see crate::resilience). `None` in
             // production — no cost.
-            if let Some(injector) = &self.fault {
+            if let Some(injector) = &self.fleet.fault {
                 injector.check_step(step);
             }
-
-            // Checkpoint bound: freeze every still-live UE (state +
-            // policy + tallies) and stop the chunk.
-            if let Some(bound) = max_steps {
-                if step >= bound {
-                    for i in 0..n {
-                        let Some(state) = ues[i].take() else { continue };
-                        sink.suspend(UeCheckpoint {
-                            ue_id: ids[i],
-                            engine: state.snapshot(),
-                            policy: policies[i].policy_checkpoint(),
-                            hd_sum: hd_sums[i],
-                            hd_count: hd_counts[i],
-                            travelled_km: travelled[i],
-                            trace_steps: if tracing { trace_steps[i] } else { 0 },
-                            trace_changes: if tracing {
-                                std::mem::take(&mut trace_bufs[i])
-                            } else {
-                                Vec::new()
-                            },
-                        });
-                        spare.push(state);
-                    }
-                    break;
+            if self.max_steps.is_some_and(|bound| step >= bound) {
+                for ue in ues.drain(..) {
+                    let (cp, state) = ue.suspend();
+                    sink.suspend(cp);
+                    arena.spare.push(state);
                 }
+                return;
             }
-
-            // Advance every live UE's trajectory cursor; retire the ones
-            // that just finished (recycling their state allocations).
-            // With churn, a UE whose arrival step is still ahead stays
-            // parked (pending), and one past its drawn lifetime departs
-            // exactly like one whose trajectory ended.
-            active_idx.clear();
-            positions.clear();
-            points.clear();
-            let mut pending_arrivals = 0usize;
-            for i in 0..n {
-                let Some(state) = &ues[i] else { continue };
-                let mut departed = false;
-                if let Some(windows) = &churn_windows {
-                    let (arrival, lifetime) = windows[i];
-                    if step < arrival {
-                        pending_arrivals += 1;
-                        continue;
-                    }
-                    departed = state.step_count() as u64 >= lifetime;
-                }
-                match if departed { None } else { cursors[i].next() } {
-                    Some(p) => {
-                        active_idx.push(i);
-                        positions.push(p.pos);
-                        points.push(p);
-                    }
-                    None => {
-                        let state = ues[i].take().expect("UE is live");
-                        let outcome = finish_ue(
-                            cfg,
-                            ids[i],
-                            &state,
-                            hd_sums[i],
-                            hd_counts[i],
-                            travelled[i],
-                        );
-                        let trace = tracing.then(|| UeTrace {
-                            ue_id: ids[i],
-                            steps: trace_steps[i],
-                            changes: std::mem::take(&mut trace_bufs[i]),
-                        });
-                        sink.finish(outcome, trace);
-                        spare.push(state);
-                    }
-                }
-            }
-            let a = active_idx.len();
-            if a == 0 {
-                if pending_arrivals == 0 {
-                    break;
+            let parked = self.advance(&mut ues, step, arena, sink);
+            if arena.active.is_empty() {
+                if parked == 0 {
+                    return;
                 }
                 // Nothing is stepping yet but churned UEs are still due:
                 // tick the lockstep clock without any engine work.
                 step += 1;
                 continue;
             }
-
-            // Scheduled-outage mask for this step (`None` whenever no
-            // outage window covers it — the common case costs one scan
-            // of the tiny outage list).
-            let down_now: Option<&[bool]> =
-                if outages.iter().any(|&(_, from, until)| from <= step && step < until) {
-                    down_mask.iter_mut().for_each(|d| *d = false);
-                    for &(k, from, until) in &outages {
-                        if from <= step && step < until {
-                            down_mask[k] = true;
-                        }
-                    }
-                    Some(&down_mask[..])
-                } else {
-                    None
-                };
-
-            // Batched mean RSS (dense mode only): one (BS × chunk) pass
-            // per cell through the compiled link budget. The buffer is
-            // only resized when the active count changes — every slot is
-            // overwritten below, so no zero-fill churn.
-            if matches!(prune_plan, PrunePlan::Dense) {
-                // Chaos harness: a scripted allocation failure in the
-                // arena grow path fires here, where the dense matrix is
-                // about to be (re)sized.
-                if let Some(injector) = &self.fault {
-                    injector.check_arena_grow(step);
-                }
-                rss_matrix.resize(cells.len() * a, 0.0);
-                for (k, &bs_pos) in bs_positions.iter().enumerate() {
-                    compiled.received_power_dbm_batch(
-                        bs_pos,
-                        positions,
-                        &mut rss_matrix[k * a..(k + 1) * a],
-                    );
-                }
-            }
-
-            // Phase 1 — measure every active UE (RNG, fading, noise) and
-            // run the batchable front half of its policy, collecting the
-            // chunk's outstanding FLC inputs.
-            reports.clear();
-            pending.clear();
-            batch_inputs.clear();
-            batch_prev.clear();
-            for (j, &i) in active_idx.iter().enumerate() {
-                // invariant: active_idx only holds indices whose state
-                // survived the retire scan above.
-                let ue = ues[i].as_mut().expect("UE is live");
-                let report = match prune_plan {
-                    PrunePlan::Dense => {
-                        for (k, slot) in means.iter_mut().enumerate() {
-                            *slot = rss_matrix[k * a + j];
-                        }
-                        ue.begin_step_fused(
-                            cfg,
-                            self.sim.candidates(),
-                            means,
-                            points[j],
-                            rng_scratch,
-                        )
-                    }
-                    PrunePlan::Pruned { k, edge_margin_db } => {
-                        let pos = positions[j];
-                        let serving = ue.serving_index();
-                        let cands = self.sim.candidates().of(serving);
-                        // The decision inputs — serving + candidate
-                        // table — are always measured exactly.
-                        means[serving] = mean_at(serving, pos);
-                        let mut best = f64::NEG_INFINITY;
-                        for &cand in cands {
-                            let m = mean_at(cand, pos);
-                            means[cand] = m;
-                            best = best.max(m);
-                        }
-                        // Edge classification on deterministic means (no
-                        // RNG): interior UEs skip the k-nearest sweep.
-                        let is_edge = match edge_margin_db {
-                            None => true,
-                            Some(margin) => means[serving] - best <= margin,
-                        };
-                        subset.clear();
-                        if is_edge {
-                            // The pruned candidate set: the k
-                            // index-nearest cells, plus the serving cell
-                            // and its whole candidate table.
-                            subset.extend_from_slice(
-                                self.sim.neighbor_index().nearest(pos, k),
-                            );
-                            let serving32 = cell_index_u32(serving);
-                            if !subset.contains(&serving32) {
-                                subset.push(serving32);
-                            }
-                            for &cand in cands {
-                                let cand32 = cell_index_u32(cand);
-                                if !subset.contains(&cand32) {
-                                    subset.push(cand32);
-                                }
-                            }
-                            for &slot in subset.iter() {
-                                let slot = slot as usize;
-                                if slot != serving && !cands.contains(&slot) {
-                                    means[slot] = mean_at(slot, pos);
-                                }
-                            }
-                        } else {
-                            subset.push(cell_index_u32(serving));
-                            for &cand in cands {
-                                let cand32 = cell_index_u32(cand);
-                                if !subset.contains(&cand32) {
-                                    subset.push(cand32);
-                                }
-                            }
-                        }
-                        ue.begin_step_pruned(cfg, self.sim.candidates(), means, points[j], subset)
-                    }
-                };
-                // BS-failure plane: with the serving cell down the UE is
-                // force-evicted onto the strongest live candidate
-                // (hd 1.0, the forced-decision convention the baselines
-                // use) without consulting its policy; with any candidate
-                // down the neighbour is re-picked among live cells so no
-                // policy ever hands over to a dead BS. No live target ⇒
-                // forced stay. `down_now` is `None` on the static path,
-                // so none of this executes there.
-                let mut report = report;
-                let mut forced: Option<Decision> = None;
-                if let Some(down) = down_now {
-                    let serving_idx = ue.serving_index();
-                    let serving_down = down[serving_idx];
-                    let candidate_down =
-                        self.sim.candidates().of(serving_idx).iter().any(|&k| down[k]);
-                    if serving_down || candidate_down {
-                        match ue.report_excluding(cfg, self.sim.candidates(), points[j], down) {
-                            Some(live_report) => {
-                                report = live_report;
-                                if serving_down {
-                                    forced = Some(Decision::Handover {
-                                        target: report.neighbor,
-                                        hd: 1.0,
-                                    });
-                                }
-                            }
-                            None => {
-                                forced = Some(Decision::Stay(StayReason::ConditionNotMet));
-                            }
-                        }
-                    }
-                }
-                let step_state = if let Some(decision) = forced {
-                    StepPending::Decided(decision)
-                } else {
-                    match policies[i].as_fuzzy() {
-                    Some(fuzzy) => match fuzzy.decide_pre(&report) {
-                        FlcStage::Resolved(decision) => StepPending::Decided(decision),
-                        FlcStage::NeedsHd { inputs, prev_serving_rss } => {
-                            let batchable = match (&chunk_plan, fuzzy.shared_plan()) {
-                                (Some(chunk), Some(own)) => Arc::ptr_eq(chunk, own),
-                                _ => false,
-                            };
-                            if batchable {
-                                batch_inputs.extend(inputs.as_array());
-                                batch_prev.push(prev_serving_rss);
-                                StepPending::AwaitHd(batch_prev.len() - 1)
-                            } else {
-                                // Non-shared plane (LUT/Sugeno/custom FIS):
-                                // evaluate through the controller itself.
-                                let hd = fuzzy.evaluate_hd(&inputs);
-                                StepPending::Decided(fuzzy.decide_with_hd(
-                                    &report,
-                                    hd,
-                                    prev_serving_rss,
-                                ))
-                            }
-                        }
-                    },
-                    None => StepPending::Decided(policies[i].decide(&report)),
-                    }
-                };
-                reports.push(report);
-                pending.push(step_state);
-            }
-
-            // Phase 2 — one batched FLC evaluation for the whole chunk.
-            if !batch_prev.is_empty() {
-                // invariant: AwaitHd entries are only queued when the
-                // policy's shared plan pointer-equals chunk_plan above.
-                let fis = chunk_plan.as_ref().expect("batched entries imply a chunk plan");
-                batch_hd.clear();
-                batch_hd.resize(batch_prev.len(), 0.0);
-                fis.evaluate_batch(batch_inputs, batch_hd, flc_scratch)
-                    // invariant: the paper rule base covers the whole
-                    // input space, so batched evaluation cannot fail on
-                    // in-range inputs.
-                    .expect("the paper FLC fires on every input");
-            }
-
-            // Phase 3 — resolve pending decisions and commit every step.
-            for (j, &i) in active_idx.iter().enumerate() {
-                let decision = match pending[j] {
-                    StepPending::Decided(decision) => decision,
-                    StepPending::AwaitHd(k) => {
-                        let fuzzy =
-                            policies[i].as_fuzzy().expect("pending FLC entries are fuzzy");
-                        fuzzy.decide_with_hd(&reports[j], batch_hd[k], batch_prev[k])
-                    }
-                };
-                // invariant: same active_idx liveness as Phase 1; no
-                // retire happens between the phases.
-                let ue = ues[i].as_mut().expect("UE is live");
-                let outcome =
-                    ue.finish_step(cfg, &reports[j], decision, points[j], policies[i].as_mut());
-                load.record_index(outcome.serving_after_idx);
-                if tracing {
-                    // Change points are recorded at the *global* lockstep
-                    // step: without churn it equals the per-UE step
-                    // counter (every UE starts at step 0), with churn it
-                    // puts arrivals and handovers of different UEs on one
-                    // shared timeline for the replay.
-                    let cell = cell_index_u32(outcome.serving_after_idx);
-                    if trace_bufs[i].last().map_or(true, |&(_, c)| c != cell) {
-                        trace_bufs[i].push((step, cell));
-                    }
-                    trace_steps[i] = step + 1;
-                }
-                if let Some(hd) = outcome.hd {
-                    hd_sums[i] += hd;
-                    hd_counts[i] += 1;
-                }
-                travelled[i] = points[j].cum_km;
-            }
+            self.dense_means(step, arena);
+            self.measure(&mut ues, step, flc_plan.as_ref(), arena);
+            evaluate_flc(flc_plan.as_ref(), arena);
+            self.commit(&mut ues, step, arena, load);
             step += 1;
         }
     }
+
+    /// Phase 1 — advance every UE's trajectory cursor, collecting the
+    /// active UEs' slots and points in the arena, and retire the UEs
+    /// that just finished into `sink` (recycling their states). Returns
+    /// how many UEs are parked ahead of their churn arrival.
+    fn advance<S: PassSink>(
+        &self,
+        ues: &mut Vec<LiveUe>,
+        step: u64,
+        arena: &mut ChunkArena,
+        sink: &mut S,
+    ) -> usize {
+        arena.active.clear();
+        arena.points.clear();
+        let mut parked = 0;
+        let mut i = 0;
+        while i < ues.len() {
+            match ues[i].advance(step) {
+                Advance::Parked => parked += 1,
+                Advance::At(point) => {
+                    arena.active.push(i);
+                    arena.points.push(point);
+                }
+                Advance::Done => {
+                    // The chunk's last UE, not yet advanced, takes slot
+                    // `i` and is advanced next. Chunk order is free: every
+                    // UE owns its RNG stream and the batched kernels are
+                    // element-wise.
+                    let (outcome, trace, state) = ues.swap_remove(i).finish(self.cfg);
+                    sink.finish(outcome, trace);
+                    arena.spare.push(state);
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        parked
+    }
+
+    /// Phase 2 — the dense mode's batched mean RSS: one (BS × active
+    /// UEs) pass per cell through the compiled link budget. The matrix
+    /// is only resized when the active count changes; every slot is
+    /// overwritten, so no zero-fill churn. The pruned modes compute
+    /// their means per UE in [`ChunkCtx::measure`].
+    fn dense_means(&self, step: u64, arena: &mut ChunkArena) {
+        if !matches!(self.plan, PrunePlan::Dense) {
+            return;
+        }
+        // Chaos harness: a scripted allocation failure in the arena grow
+        // path fires here, where the dense matrix is about to be resized.
+        if let Some(injector) = &self.fleet.fault {
+            injector.check_arena_grow(step);
+        }
+        let ChunkArena { points, positions, rss_matrix, .. } = arena;
+        positions.clear();
+        positions.extend(points.iter().map(|p| p.pos));
+        let a = positions.len();
+        let sim = &self.fleet.sim;
+        rss_matrix.resize(sim.bs_positions().len() * a, 0.0);
+        for (k, &bs_pos) in sim.bs_positions().iter().enumerate() {
+            sim.compiled_radio().received_power_dbm_batch(
+                bs_pos,
+                positions,
+                &mut rss_matrix[k * a..(k + 1) * a],
+            );
+        }
+    }
+
+    /// Phase 3 — measure every active UE (RNG, fading, noise), apply the
+    /// BS-failure plane, and run the batchable front half of its policy,
+    /// queueing the chunk's outstanding FLC inputs for
+    /// [`evaluate_flc`].
+    fn measure(
+        &self,
+        ues: &mut [LiveUe],
+        step: u64,
+        flc_plan: Option<&Arc<CompiledFis>>,
+        arena: &mut ChunkArena,
+    ) {
+        let down = self.outage_mask(step, &mut arena.down);
+        let candidates = self.fleet.sim.candidates();
+        let a = arena.active.len();
+        arena.reports.clear();
+        arena.pending.clear();
+        arena.batch_inputs.clear();
+        arena.batch_prev.clear();
+        for (j, &i) in arena.active.iter().enumerate() {
+            let (ue, point) = (&mut ues[i], arena.points[j]);
+            let means = &mut arena.means;
+            let mut report = match self.plan {
+                PrunePlan::Dense => {
+                    for (k, slot) in means.iter_mut().enumerate() {
+                        *slot = arena.rss_matrix[k * a + j];
+                    }
+                    ue.state.begin_step_fused(self.cfg, candidates, means, point, &mut arena.rng_scratch)
+                }
+                PrunePlan::Pruned { k, edge_margin_db } => {
+                    let subset = &mut arena.subset;
+                    self.measure_pruned(&mut ue.state, point, k, edge_margin_db, means, subset)
+                }
+            };
+            let forced = down.and_then(|down| self.outage_decision(ue, &mut report, point, down));
+            arena.pending.push(match forced {
+                Some(decision) => StepPending::Decided(decision),
+                None => decide_pre(
+                    ue.policy.as_mut(),
+                    &report,
+                    flc_plan,
+                    &mut arena.batch_inputs,
+                    &mut arena.batch_prev,
+                ),
+            });
+            arena.reports.push(report);
+        }
+    }
+
+    /// One pruned-mode measurement. The decision inputs — the serving
+    /// cell and its candidate table — are always measured exactly. An
+    /// edge UE (every UE under [`CandidateMode::Nearest`]) also measures
+    /// its `k` index-nearest cells; the edge classification runs on
+    /// deterministic means (no RNG), so interior UEs skip that sweep.
+    fn measure_pruned(
+        &self,
+        state: &mut UeState,
+        point: TracePoint,
+        k: usize,
+        edge_margin_db: Option<f64>,
+        means: &mut [f64],
+        subset: &mut Vec<u32>,
+    ) -> MeasurementReport {
+        let sim = &self.fleet.sim;
+        let pos = point.pos;
+        let mean_at = |slot: usize| sim.compiled_radio().received_power_dbm(sim.bs_positions()[slot], pos);
+        let serving = state.serving_index();
+        let cands = sim.candidates().of(serving);
+        means[serving] = mean_at(serving);
+        let mut best = f64::NEG_INFINITY;
+        for &cand in cands {
+            let m = mean_at(cand);
+            means[cand] = m;
+            best = best.max(m);
+        }
+        let is_edge = edge_margin_db.map_or(true, |margin| means[serving] - best <= margin);
+        subset.clear();
+        if is_edge {
+            let nearest = sim.neighbor_index().nearest(pos, k);
+            for &slot in nearest {
+                let slot = slot as usize;
+                if slot != serving && !cands.contains(&slot) {
+                    means[slot] = mean_at(slot);
+                }
+            }
+            // The subset order is the shadowing/noise draw order: the
+            // k-nearest cells come first.
+            subset.extend_from_slice(nearest);
+        }
+        for cell in std::iter::once(serving).chain(cands.iter().copied()) {
+            let cell = cell_index_u32(cell);
+            if !subset.contains(&cell) {
+                subset.push(cell);
+            }
+        }
+        state.begin_step_pruned(self.cfg, sim.candidates(), means, point, subset)
+    }
+
+    /// The BS-failure mask of `step`, or `None` when no outage window
+    /// covers it (the common case costs one scan of the tiny outage
+    /// list; the static path has none).
+    fn outage_mask<'m>(&self, step: u64, mask: &'m mut [bool]) -> Option<&'m [bool]> {
+        let covers = |&(_, from, until): &(usize, u64, u64)| from <= step && step < until;
+        if !self.outages.iter().any(covers) {
+            return None;
+        }
+        mask.fill(false);
+        for &(cell, _, _) in self.outages.iter().filter(|o| covers(o)) {
+            mask[cell] = true;
+        }
+        Some(mask)
+    }
+
+    /// The BS-failure plane's override of one step: with the serving
+    /// cell down the UE is force-evicted onto the strongest live
+    /// candidate (hd 1.0, the forced-decision convention the baselines
+    /// use) without consulting its policy; with any candidate down the
+    /// neighbour in `report` is re-picked among live cells so no policy
+    /// ever hands over to a dead BS. No live target ⇒ forced stay.
+    fn outage_decision(
+        &self,
+        ue: &LiveUe,
+        report: &mut MeasurementReport,
+        point: TracePoint,
+        down: &[bool],
+    ) -> Option<Decision> {
+        let candidates = self.fleet.sim.candidates();
+        let serving = ue.state.serving_index();
+        let serving_down = down[serving];
+        if !serving_down && !candidates.of(serving).iter().any(|&k| down[k]) {
+            return None;
+        }
+        match ue.state.report_excluding(self.cfg, candidates, point, down) {
+            Some(live) => {
+                *report = live;
+                serving_down.then_some(Decision::Handover { target: report.neighbor, hd: 1.0 })
+            }
+            None => Some(Decision::Stay(StayReason::ConditionNotMet)),
+        }
+    }
+
+    /// Phase 5 — resolve every pending decision (with the batched HD
+    /// where one was queued) and commit the step: handover, load, trace
+    /// and tallies.
+    fn commit(
+        &self,
+        ues: &mut [LiveUe],
+        step: u64,
+        arena: &ChunkArena,
+        load: &mut CellLoadHistogram,
+    ) {
+        for (j, &i) in arena.active.iter().enumerate() {
+            let ue = &mut ues[i];
+            let (report, point) = (&arena.reports[j], arena.points[j]);
+            let decision = match arena.pending[j] {
+                StepPending::Decided(decision) => decision,
+                StepPending::AwaitHd(k) => {
+                    // invariant: only fuzzy policies queue FLC entries.
+                    let fuzzy = ue.policy.as_fuzzy().expect("pending FLC entries are fuzzy");
+                    fuzzy.decide_with_hd(report, arena.batch_hd[k], arena.batch_prev[k])
+                }
+            };
+            let outcome =
+                ue.state.finish_step(self.cfg, report, decision, point, ue.policy.as_mut());
+            load.record_index(outcome.serving_after_idx);
+            ue.record(step, &outcome, point);
+        }
+    }
+}
+
+/// The front half of one UE's decision: resolved outright, or its FLC
+/// inputs queued for the chunk's batched evaluation when the policy runs
+/// on the chunk's shared plan. Policies on other planes
+/// (LUT/Sugeno/custom FIS) evaluate through the controller itself.
+fn decide_pre(
+    policy: &mut (dyn HandoverPolicy + Send),
+    report: &MeasurementReport,
+    flc_plan: Option<&Arc<CompiledFis>>,
+    batch_inputs: &mut Vec<f64>,
+    batch_prev: &mut Vec<Option<f64>>,
+) -> StepPending {
+    let Some(fuzzy) = policy.as_fuzzy() else {
+        return StepPending::Decided(policy.decide(report));
+    };
+    match fuzzy.decide_pre(report) {
+        FlcStage::Resolved(decision) => StepPending::Decided(decision),
+        FlcStage::NeedsHd { inputs, prev_serving_rss } => {
+            let batchable = match (flc_plan, fuzzy.shared_plan()) {
+                (Some(chunk), Some(own)) => Arc::ptr_eq(chunk, own),
+                _ => false,
+            };
+            if batchable {
+                batch_inputs.extend(inputs.as_array());
+                batch_prev.push(prev_serving_rss);
+                StepPending::AwaitHd(batch_prev.len() - 1)
+            } else {
+                let hd = fuzzy.evaluate_hd(&inputs);
+                StepPending::Decided(fuzzy.decide_with_hd(report, hd, prev_serving_rss))
+            }
+        }
+    }
+}
+
+/// Phase 4 — one batched FLC evaluation for every HD the chunk queued
+/// this step.
+fn evaluate_flc(flc_plan: Option<&Arc<CompiledFis>>, arena: &mut ChunkArena) {
+    if arena.batch_prev.is_empty() {
+        return;
+    }
+    // invariant: AwaitHd entries are only queued when the policy's
+    // shared plan pointer-equals the chunk's plan.
+    let fis = flc_plan.expect("batched entries imply a chunk plan");
+    arena.batch_hd.clear();
+    arena.batch_hd.resize(arena.batch_prev.len(), 0.0);
+    fis.evaluate_batch(&arena.batch_inputs, &mut arena.batch_hd, &mut arena.flc_scratch)
+        // invariant: the paper rule base covers the whole input space, so
+        // batched evaluation cannot fail on in-range inputs.
+        .expect("the paper FLC fires on every input");
 }
 
 /// Narrow a layout cell index to the `u32` the pruned-subset buffers
@@ -1949,30 +1981,6 @@ fn dynamic_report(
         jain_cell_load: jain_index(&shares),
         ho_dwell: LatencyPercentiles::from_sorted(&dwells),
         traffic,
-    }
-}
-
-/// Reduce a finished UE's state into its outcome (borrowing the state,
-/// so the caller can recycle its allocations afterwards).
-fn finish_ue(
-    cfg: &SimConfig,
-    ue_id: u64,
-    state: &UeState,
-    hd_sum: f64,
-    hd_count: u64,
-    travelled_km: f64,
-) -> UeOutcome {
-    let log = state.log();
-    UeOutcome {
-        ue_id,
-        steps: state.step_count() as u64,
-        handovers: log.handover_count() as u64,
-        ping_pongs: log.ping_pong_report(cfg.pingpong_window_steps).ping_pongs as u64,
-        outage_steps: log.outage_step_count() as u64,
-        hd_sum,
-        hd_count,
-        travelled_km,
-        final_serving: state.serving_cell(cfg),
     }
 }
 

@@ -1,7 +1,8 @@
 //! Monte-Carlo repetition: the paper "carried out 10 times simulations and
 //! calculated the average values". Repetitions differ only in the RNG
-//! stream (shadowing + measurement noise); they can run sequentially or on
-//! a crossbeam thread pool.
+//! stream (shadowing + measurement noise); [`run_repetitions`], the one
+//! fallible entry point, runs them on the calling thread or on a
+//! crossbeam thread pool.
 //!
 //! `make_policy` builds one fresh policy per repetition; fuzzy policies
 //! built through [`FuzzyHandoverController::new`] all borrow the
@@ -40,46 +41,17 @@ pub struct McSummary {
     pub mean_hd: Option<f64>,
 }
 
-/// Run `reps` repetitions sequentially. `make_policy` builds a fresh
-/// policy per run; run `k` uses seed `base_seed + k`.
+/// Run `reps` repetitions on `threads` workers (one runs them on the
+/// calling thread). `make_policy` builds a fresh policy per run; run `k`
+/// uses seed `base_seed + k`. Results come back in repetition order and
+/// are bit-identical for every thread count (each repetition owns its
+/// seed).
+///
+/// A panicking policy or engine surfaces as the
+/// [`FleetError::WorkerPanic`] of the *first failing repetition* (lowest
+/// repetition index — the same error for every thread count), and
+/// `reps == 0` as [`FleetError::InvalidConfig`].
 pub fn run_repetitions(
-    sim: &Simulation,
-    trajectory: &Trajectory,
-    make_policy: impl Fn() -> Box<dyn HandoverPolicy + Send>,
-    base_seed: u64,
-    reps: usize,
-) -> Vec<SimResult> {
-    assert!(reps >= 1, "need at least one repetition");
-    (0..reps)
-        .map(|k| {
-            let mut policy = make_policy();
-            sim.run(trajectory, policy.as_mut(), base_seed + k as u64)
-        })
-        .collect()
-}
-
-/// Run `reps` repetitions on `threads` crossbeam-scoped workers. Results
-/// are returned in repetition order and are bit-identical to the
-/// sequential version (each repetition owns its seed).
-pub fn run_repetitions_parallel(
-    sim: &Simulation,
-    trajectory: &Trajectory,
-    make_policy: impl Fn() -> Box<dyn HandoverPolicy + Send> + Sync,
-    base_seed: u64,
-    reps: usize,
-    threads: usize,
-) -> Vec<SimResult> {
-    assert!(reps >= 1, "need at least one repetition");
-    try_run_repetitions_parallel(sim, trajectory, make_policy, base_seed, reps, threads)
-        .unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// Fallible form of [`run_repetitions_parallel`]: a panicking policy or
-/// engine surfaces as the [`FleetError::WorkerPanic`] of the *first
-/// failing repetition* (lowest repetition index — the same error for
-/// every thread count), and `reps == 0` comes back as
-/// [`FleetError::InvalidConfig`] instead of an assert.
-pub fn try_run_repetitions_parallel(
     sim: &Simulation,
     trajectory: &Trajectory,
     make_policy: impl Fn() -> Box<dyn HandoverPolicy + Send> + Sync,
@@ -155,12 +127,22 @@ mod tests {
         Box::new(FuzzyHandoverController::new(ControllerConfig::paper_default(2.0)))
     }
 
+    /// The test helper: `reps` repetitions on one thread.
+    fn one_thread(
+        t: &Trajectory,
+        make: impl Fn() -> Box<dyn HandoverPolicy + Send> + Sync,
+        seed: u64,
+        reps: usize,
+    ) -> Vec<SimResult> {
+        run_repetitions(&noisy_sim(), t, make, seed, reps, 1).expect("clean repetitions succeed")
+    }
+
     #[test]
     fn sequential_and_parallel_agree() {
         let sim = noisy_sim();
         let t = crossing_walk();
-        let seq = run_repetitions(&sim, &t, fuzzy, 77, 6);
-        let par = run_repetitions_parallel(&sim, &t, fuzzy, 77, 6, 3);
+        let seq = run_repetitions(&sim, &t, fuzzy, 77, 6, 1).unwrap();
+        let par = run_repetitions(&sim, &t, fuzzy, 77, 6, 3).unwrap();
         assert_eq!(seq, par, "bit-identical results regardless of threading");
     }
 
@@ -168,15 +150,13 @@ mod tests {
     fn parallel_with_more_threads_than_reps() {
         let sim = noisy_sim();
         let t = crossing_walk();
-        let par = run_repetitions_parallel(&sim, &t, fuzzy, 5, 2, 16);
+        let par = run_repetitions(&sim, &t, fuzzy, 5, 2, 16).unwrap();
         assert_eq!(par.len(), 2);
     }
 
     #[test]
     fn repetitions_differ_by_seed() {
-        let sim = noisy_sim();
-        let t = crossing_walk();
-        let runs = run_repetitions(&sim, &t, fuzzy, 1, 3);
+        let runs = one_thread(&crossing_walk(), fuzzy, 1, 3);
         // With fading and noise on, different seeds yield different RSS
         // traces.
         assert_ne!(runs[0].steps[5].serving_rss_dbm, runs[1].steps[5].serving_rss_dbm);
@@ -184,9 +164,7 @@ mod tests {
 
     #[test]
     fn summary_statistics() {
-        let sim = noisy_sim();
-        let t = crossing_walk();
-        let runs = run_repetitions(&sim, &t, fuzzy, 9, 10);
+        let runs = one_thread(&crossing_walk(), fuzzy, 9, 10);
         let s = summarize(&runs, 12);
         assert_eq!(s.runs, 10);
         assert!(s.mean_handovers >= 1.0, "crossing walk hands over: {s:?}");
@@ -200,12 +178,10 @@ mod tests {
     #[test]
     fn mean_hd_is_none_without_flc_data_and_round_trips() {
         // A threshold that never fires: no handovers, no HD stream.
-        let sim = noisy_sim();
-        let t = crossing_walk();
         let make = || -> Box<dyn HandoverPolicy + Send> {
             Box::new(handover_core::baselines::ThresholdPolicy::new(-500.0))
         };
-        let runs = run_repetitions(&sim, &t, make, 3, 4);
+        let runs = one_thread(&crossing_walk(), make, 3, 4);
         let s = summarize(&runs, 12);
         assert_eq!(s.mean_hd, None, "no FLC data is None, never NaN");
         // The summary serializes without NaN and deserializes back —
@@ -218,9 +194,7 @@ mod tests {
 
     #[test]
     fn summary_with_flc_data_round_trips() {
-        let sim = noisy_sim();
-        let t = crossing_walk();
-        let s = summarize(&run_repetitions(&sim, &t, fuzzy, 9, 3), 12);
+        let s = summarize(&one_thread(&crossing_walk(), fuzzy, 9, 3), 12);
         let back: McSummary = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(s, back);
     }
@@ -229,15 +203,9 @@ mod tests {
     fn fallible_parallel_agrees_and_surfaces_typed_errors() {
         let sim = noisy_sim();
         let t = crossing_walk();
-        // Clean runs: identical to the panicking form.
-        let ok = try_run_repetitions_parallel(&sim, &t, fuzzy, 77, 6, 3)
-            .expect("clean repetitions succeed");
-        assert_eq!(ok, run_repetitions(&sim, &t, fuzzy, 77, 6));
-
-        // Zero repetitions: a typed config error, not an assert.
-        let err = try_run_repetitions_parallel(&sim, &t, fuzzy, 77, 0, 3)
-            .expect_err("zero reps rejected");
-        assert!(matches!(err, FleetError::InvalidConfig(_)), "{err:?}");
+        // Clean runs: identical on three threads and on one.
+        let ok = run_repetitions(&sim, &t, fuzzy, 77, 6, 3).expect("clean repetitions succeed");
+        assert_eq!(ok, one_thread(&t, fuzzy, 77, 6));
 
         // A panicking policy factory: the panic is caught and reported,
         // identically for every thread count.
@@ -246,10 +214,10 @@ mod tests {
         };
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let err_a = try_run_repetitions_parallel(&sim, &t, exploding, 77, 4, 1)
-            .expect_err("exploding factory fails");
-        let err_b = try_run_repetitions_parallel(&sim, &t, exploding, 77, 4, 4)
-            .expect_err("exploding factory fails");
+        let err_a =
+            run_repetitions(&sim, &t, exploding, 77, 4, 1).expect_err("exploding factory fails");
+        let err_b =
+            run_repetitions(&sim, &t, exploding, 77, 4, 4).expect_err("exploding factory fails");
         std::panic::set_hook(prev_hook);
         match &err_a {
             FleetError::WorkerPanic(msg) => {
@@ -261,11 +229,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one repetition")]
     fn zero_reps_rejected() {
-        let sim = noisy_sim();
-        let t = crossing_walk();
-        let _ = run_repetitions(&sim, &t, fuzzy, 0, 0);
+        // Zero repetitions: a typed config error, not an assert, for
+        // every thread count.
+        for threads in [1, 3] {
+            let err = run_repetitions(&noisy_sim(), &crossing_walk(), fuzzy, 77, 0, threads)
+                .expect_err("zero reps rejected");
+            assert!(
+                matches!(
+                    err,
+                    FleetError::InvalidConfig(ConfigError::TooSmall { field: "repetitions", .. })
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

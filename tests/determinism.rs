@@ -8,7 +8,7 @@ use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::sim::fleet::{
     FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
 };
-use fuzzy_handover::sim::monte_carlo::{run_repetitions, run_repetitions_parallel};
+use fuzzy_handover::sim::monte_carlo::run_repetitions;
 use fuzzy_handover::sim::{Scenario, SimConfig, Simulation, SCENARIO_A_SEED, SCENARIO_B_SEED};
 
 fn paper_policy() -> FuzzyHandoverController {
@@ -59,9 +59,9 @@ fn parallel_monte_carlo_matches_sequential() {
     let make = || -> Box<dyn fuzzy_handover::core::HandoverPolicy + Send> {
         Box::new(paper_policy())
     };
-    let sequential = run_repetitions(&sim, &walk, make, SCENARIO_B_SEED, 8);
-    for threads in [1, 2, 4, 8, 16] {
-        let parallel = run_repetitions_parallel(&sim, &walk, make, SCENARIO_B_SEED, 8, threads);
+    let sequential = run_repetitions(&sim, &walk, make, SCENARIO_B_SEED, 8, 1).unwrap();
+    for threads in [2, 4, 8, 16] {
+        let parallel = run_repetitions(&sim, &walk, make, SCENARIO_B_SEED, 8, threads).unwrap();
         assert_eq!(sequential, parallel, "diverged with {threads} threads");
     }
 }

@@ -11,7 +11,7 @@
 //!    order, for every `matrix_workers` value;
 //! 6. a `run_partial` snapshot at an arbitrary step, taken and resumed
 //!    under arbitrary worker/chunk shapes, reproduces the uninterrupted
-//!    run bit for bit;
+//!    run bit for bit in every candidate mode;
 //! 7. the streaming aggregation path reproduces the dense run's summary
 //!    and load histogram bit for bit;
 //! 8. `EdgeSet` with an infinite margin is bit-identical to `Nearest`
@@ -231,7 +231,9 @@ proptest! {
 
     /// Contract 6: freeze at an arbitrary step under one worker/chunk
     /// shape, resume under another — the reassembled result is
-    /// bit-identical to the uninterrupted run.
+    /// bit-identical to the uninterrupted run, in the dense mode and in
+    /// both pruned modes (whose snapshots carry the lazy
+    /// `last_advanced_km` lanes).
     #[test]
     fn snapshot_resume_is_bit_identical(
         seed in 0u64..u64::MAX,
@@ -242,6 +244,11 @@ proptest! {
         workers_b in 1usize..6,
         chunk_b in 1usize..33,
         policy in policy_strategy(),
+        mode in prop_oneof![
+            Just(CandidateMode::All),
+            Just(CandidateMode::Nearest(7)),
+            Just(CandidateMode::EdgeSet { k: 7, margin_db: 6.0 }),
+        ],
     ) {
         let cfg = config(4.0, 1.0, 0.3, 0.0);
         let spec = HomogeneousFleet {
@@ -251,13 +258,14 @@ proptest! {
             cell_radius_km: 2.0,
         };
         let ids: Vec<u64> = (0..n_ues).collect();
-        let full = FleetSimulation::new(cfg.clone()).run_ids(&spec, &ids, seed);
-        let cp = FleetSimulation::new(cfg.clone())
+        let engine = || FleetSimulation::new(cfg.clone()).with_candidate_mode(mode);
+        let full = engine().run_ids(&spec, &ids, seed);
+        let cp = engine()
             .with_workers(workers_a)
             .with_chunk_size(chunk_a)
             .run_partial(&spec, &ids, seed, snap_step)
             .unwrap();
-        let resumed = FleetSimulation::new(cfg)
+        let resumed = engine()
             .with_workers(workers_b)
             .with_chunk_size(chunk_b)
             .resume(&spec, &cp)

@@ -346,7 +346,7 @@ fn configs_with_the_removed_precision_key_still_decode() {
 /// A sealed session whose traces were forged and resealed with a valid
 /// checksum must be refused at hydrate time as `Corrupt`: the daemon
 /// neither accepts the bytes nor panics on a later advance. Covers
-/// every layout-aware trace check `check_checkpoint` runs.
+/// every layout-aware trace and live-lane check `check_checkpoint` runs.
 #[test]
 fn forged_traces_are_rejected_at_hydrate() {
     let config = session_config(6, 17, 2);
@@ -362,7 +362,7 @@ fn forged_traces_are_rejected_at_hydrate() {
         edit(&mut forged);
         seal_payload(serde_json::to_string(&forged).unwrap().as_bytes())
     };
-    let forgeries: [(&str, Forgery); 5] = [
+    let forgeries: [(&str, Forgery); 7] = [
         (
             "cell outside the layout",
             |s| {
@@ -401,6 +401,23 @@ fn forged_traces_are_rejected_at_hydrate() {
                 let trace = UeTrace { ue_id: 0, steps: 1, changes: vec![(0, 0)] };
                 traces.extend([trace.clone(), trace]);
             },
+        ),
+        (
+            "live lanes cut below the layout",
+            |s| {
+                let engine = &mut s.fleet.as_mut().unwrap().live[0].engine;
+                engine.shadow.values.truncate(3);
+                engine.shadow.fresh.truncate(3);
+                engine.smoothers.truncate(3);
+                if !engine.last_advanced_km.is_empty() {
+                    engine.last_advanced_km.truncate(3);
+                }
+                engine.serving_idx = 0;
+            },
+        ),
+        (
+            "shadowing freshness flags cut",
+            |s| s.fleet.as_mut().unwrap().live[0].engine.shadow.fresh.truncate(3),
         ),
     ];
     for (what, edit) in &forgeries {
