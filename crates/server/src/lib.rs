@@ -6,8 +6,8 @@
 //!
 //! * [`session`] — one tenant scenario: spawn from a validated
 //!   [`SessionConfig`] bundle, [`Session::advance_to`] arbitrary step
-//!   bounds in supervised cadence-sized segments (the PR 9
-//!   [`handover_sim::Supervisor`] machinery per session), query
+//!   bounds in supervised cadence-sized segments (one long-lived
+//!   [`handover_sim::Supervisor`] per session), query
 //!   per-cell load and per-UE state at the current step, hot-swap the
 //!   [`PolicyKind`](handover_sim::fleet::PolicyKind) mid-run at a
 //!   segment boundary, and persist/hydrate through the sealed
@@ -16,7 +16,8 @@
 //!   the worker pool across concurrent sessions (isolated by
 //!   construction; re-sharding never changes bytes), plus the request
 //!   dispatcher.
-//! * [`wire`] — the compact length-prefixed request/response codec,
+//! * [`wire`] — the compact length-prefixed request/response codec
+//!   (snapshot bytes as base64),
 //!   the [`wire::serve`] loop, a typed [`TwinClient`], and the
 //!   in-process pipe transport ([`wire::spawn_in_process`]); the
 //!   `handover_serverd` example speaks the same codec over a Unix

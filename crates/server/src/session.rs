@@ -5,11 +5,15 @@
 //! ## Determinism contract
 //!
 //! A [`Session`] is a thin stateful wrapper over the fleet engine's
-//! resume chain: every `advance_to` runs supervised cadence-sized
-//! segments ([`handover_sim::Supervisor`]) from the session's current
-//! [`FleetCheckpoint`], so a session driven by *any* interleaving of
-//! [`Session::advance_to`] / [`Session::sealed`] / [`Session::hydrate`]
-//! calls produces results **bit-identical** to the equivalent batch
+//! resume chain. One [`handover_sim::Supervisor`] lives as long as the
+//! session and runs every `advance_to` as supervised cadence-sized
+//! segments from the session's current [`FleetCheckpoint`], which stays
+//! in memory as the restore point. The supervisor seals a snapshot only
+//! once it is a cadence past the last seal, so short advances do not
+//! pay for persistence; [`Session::sealed`] persists on demand. A
+//! session driven by *any* interleaving of [`Session::advance_to`] /
+//! [`Session::sealed`] / [`Session::hydrate`] calls produces results
+//! **bit-identical** to the equivalent batch
 //! [`FleetSimulation::run_ids`] — every `f64` included (pinned by
 //! `tests/server_session.rs`).
 //!
@@ -20,7 +24,8 @@
 //! checkpoint (implementations ignore foreign variants), so replaying
 //! the log from scratch — or the equivalent manual
 //! `run_partial(old spec, swap_step)` → `resume(new spec)` chain — is
-//! bit-identical.
+//! bit-identical. A segment that fails right after a swap or a hydrate
+//! retries from that same snapshot under the new spec.
 
 use handover_core::twin::{CellLoadReport, SessionStatus, UePhase, UeTwinReport};
 use handover_sim::checkpoint::{seal_payload, unseal_payload, CheckpointError};
@@ -271,9 +276,11 @@ pub struct Session {
     config: SessionConfig,
     policy_now: PolicyKind,
     swaps: Vec<PolicySwap>,
-    current: Option<FleetCheckpoint>,
+    /// The one supervisor behind every advance: built by the first
+    /// advance of a spawned session (spawning builds no engine), or by
+    /// [`Session::hydrate`] from the sealed snapshot and audit trail.
+    supervisor: Option<Supervisor>,
     result: Option<FleetResult>,
-    report: SupervisorReport,
     workers: usize,
     ids: Vec<u64>,
 }
@@ -289,9 +296,8 @@ impl Session {
             config,
             policy_now,
             swaps: Vec::new(),
-            current: None,
+            supervisor: None,
             result: None,
-            report: SupervisorReport::default(),
             workers: workers.max(1),
             ids,
         })
@@ -315,7 +321,7 @@ impl Session {
     /// The session's current lockstep step (0 before the first
     /// advance).
     pub fn step(&self) -> u64 {
-        self.current.as_ref().map_or(0, |cp| cp.step)
+        self.checkpoint().map_or(0, |cp| cp.step)
     }
 
     /// Whether the session ran to completion.
@@ -330,12 +336,12 @@ impl Session {
 
     /// The current fleet snapshot, if any.
     pub fn checkpoint(&self) -> Option<&FleetCheckpoint> {
-        self.current.as_ref()
+        self.supervisor.as_ref().and_then(Supervisor::checkpoint)
     }
 
     /// The accumulated supervision audit trail.
-    pub fn report(&self) -> &SupervisorReport {
-        &self.report
+    pub fn report(&self) -> SupervisorReport {
+        self.supervisor.as_ref().map(|sup| sup.report().clone()).unwrap_or_default()
     }
 
     /// Re-shard: set the worker count used by subsequent advances.
@@ -343,14 +349,18 @@ impl Session {
     /// throughput, never bytes.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
+        if let Some(sup) = &mut self.supervisor {
+            sup.set_workers(self.workers);
+        }
     }
 
     /// Compact status for dashboards and the wire `Status` request.
     pub fn status(&self) -> SessionStatus {
-        let (live, finished) = match &self.current {
+        let (live, finished) = match self.checkpoint() {
             Some(cp) => (cp.live.len() as u64, cp.finished.len() as u64),
             None => (self.config.n_ues, 0),
         };
+        let report = self.report();
         SessionStatus {
             step: self.step(),
             total_ues: self.config.n_ues,
@@ -358,8 +368,8 @@ impl Session {
             finished_ues: if self.is_complete() { self.config.n_ues } else { finished },
             complete: self.is_complete(),
             policy_swaps: self.swaps.len() as u64,
-            segments: self.report.segments,
-            retries: self.report.retries,
+            segments: report.segments,
+            retries: report.retries,
         }
     }
 
@@ -374,28 +384,17 @@ impl Session {
         if self.result.is_some() {
             return Ok(self.status());
         }
-        let engine = self.config.engine(self.workers);
-        let mut sup = match self.current.take() {
-            Some(cp) => Supervisor::from_checkpoint(engine, self.config.retry, cp),
-            None => Supervisor::new(engine, self.config.retry),
-        }
-        .map_err(SessionError::from)?;
-        let spec = self.config.spec(self.policy_now);
-        let advanced = sup
-            .advance_to(&spec, &self.ids, self.config.base_seed, target_step)
-            .map(|_| ())
-            .map_err(SessionError::from);
-        let finished = if advanced.is_ok() && sup.all_finished() {
-            sup.finish(&spec, &self.ids, self.config.base_seed)
-                .map(|result| self.result = Some(result))
-                .map_err(SessionError::from)
-        } else {
-            Ok(())
+        let sup = match &mut self.supervisor {
+            Some(sup) => sup,
+            None => self
+                .supervisor
+                .insert(Supervisor::new(self.config.engine(self.workers), self.config.retry)?),
         };
-        let (cp, report) = sup.into_parts();
-        self.current = cp;
-        self.report.absorb(&report);
-        advanced.and(finished)?;
+        let spec = self.config.spec(self.policy_now);
+        sup.advance_to(&spec, &self.ids, self.config.base_seed, target_step)?;
+        if sup.all_finished() {
+            self.result = Some(sup.finish(&spec, &self.ids, self.config.base_seed)?);
+        }
         Ok(self.status())
     }
 
@@ -436,7 +435,7 @@ impl Session {
                 })
                 .collect());
         }
-        let Some(cp) = &self.current else {
+        let Some(cp) = self.checkpoint() else {
             return Err(SessionError::NotAdvanced);
         };
         let live = cp.live_serving_counts(cells.len());
@@ -479,7 +478,7 @@ impl Session {
                 travelled_km: outcome.travelled_km,
             });
         }
-        let Some(cp) = &self.current else {
+        let Some(cp) = self.checkpoint() else {
             return Err(SessionError::NotAdvanced);
         };
         if let Some(outcome) = cp.find_finished(ue_id) {
@@ -530,9 +529,9 @@ impl Session {
             config: self.config.clone(),
             policy_now: self.policy_now,
             swaps: self.swaps.clone(),
-            fleet: self.current.clone(),
+            fleet: self.checkpoint().cloned(),
             result: self.result.clone(),
-            report: self.report.clone(),
+            report: self.report(),
         }
     }
 
@@ -551,6 +550,8 @@ impl Session {
     /// re-validated and the fleet checkpoint passes the same
     /// [`FleetSimulation::check_checkpoint`] every resume runs (forged
     /// trace cells or steps included) before the session is accepted.
+    /// The session's supervisor is rebuilt here, seeded with the
+    /// snapshot's checkpoint and audit trail.
     pub fn hydrate(bytes: &[u8], workers: usize) -> Result<Session, SessionError> {
         let payload = unseal_payload(bytes).map_err(SessionError::Corrupt)?;
         let text = std::str::from_utf8(payload)
@@ -564,19 +565,21 @@ impl Session {
             }));
         }
         snap.config.validated()?;
-        if let Some(cp) = &snap.fleet {
-            let engine = snap.config.engine(workers.max(1));
-            engine.check_checkpoint(cp).map_err(SessionError::Corrupt)?;
-        }
+        let workers = workers.max(1);
+        let engine = snap.config.engine(workers);
+        let supervisor = match snap.fleet {
+            Some(cp) => Supervisor::from_checkpoint(engine, snap.config.retry, cp),
+            None => Supervisor::new(engine, snap.config.retry),
+        }?
+        .with_report(snap.report);
         let ids: Vec<u64> = (0..snap.config.n_ues).collect();
         Ok(Session {
             config: snap.config,
             policy_now: snap.policy_now,
             swaps: snap.swaps,
-            current: snap.fleet,
+            supervisor: Some(supervisor),
             result: snap.result,
-            report: snap.report,
-            workers: workers.max(1),
+            workers,
             ids,
         })
     }

@@ -39,7 +39,8 @@
 //!   configuration/checkpoint error taxonomy, the deterministic
 //!   fault-injection harness ([`resilience::FaultPlan`]) and the
 //!   supervised runner ([`fleet::FleetSimulation::run_supervised`])
-//!   that checkpoints, detects failures and recovers bit-identically.
+//!   that seals on a cadence, detects failures and recovers
+//!   bit-identically from its in-memory snapshot.
 //! * [`experiments`] — one module per paper table/figure; the `repro`
 //!   binary prints them all.
 //! * [`table`] / [`series`] — plain-text renderers for tables and plots.

@@ -19,28 +19,30 @@
 //!   worker and chunk shape and the UE ids, never on thread
 //!   scheduling, so chaos runs are exactly reproducible.
 //! * [`FleetSimulation::run_supervised`] runs a fleet under a
-//!   [`RetryPolicy`]: periodic checkpointing on a step cadence,
-//!   panic/stall detection, restore-from-last-good-snapshot with
+//!   [`RetryPolicy`]: segments on a step cadence, panic/stall
+//!   detection, restore from the last good in-memory snapshot with
 //!   bounded retries, deterministic *virtual-time* backoff, and
 //!   graceful degradation (halving the worker count after repeated
 //!   stalls — safe because fleet results are worker-count-invariant).
+//!   A snapshot is sealed once it is a cadence past the last seal, and
+//!   each seal is write-verified against its container checksum.
 //!
 //! The headline contract, pinned by `tests/resilience_props.rs`: for
 //! any scripted [`FaultPlan`] of recoverable faults, the supervised
 //! result is **bit-identical** to the fault-free
 //! [`FleetSimulation::run_ids`] — every `f64` included. Recovery never
-//! changes the answer, because every segment is replayed from a
-//! checksummed snapshot whose resume path is itself bit-identical
-//! (the PR 6 contract), and corrupted snapshots are always *detected*
-//! (typed [`CheckpointError`](crate::checkpoint::CheckpointError)),
-//! never silently resumed.
+//! changes the answer: a failed segment only borrowed the snapshot it
+//! started from, so the retry replays from that same snapshot, whose
+//! resume path is itself bit-identical (pinned by
+//! `tests/fleet_props.rs`). Corrupted seals are always *detected* (typed
+//! [`CheckpointError`](crate::checkpoint::CheckpointError)) and kept
+//! out of [`Supervisor::last_seal`], never handed out as good.
 
-use crate::checkpoint::FleetCheckpoint;
+use crate::checkpoint::{unseal_payload, FleetCheckpoint};
 use crate::fleet::{FleetError, FleetResult, FleetSimulation, UeSpec};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -244,9 +246,10 @@ pub enum Fault {
         delay_steps: u64,
     },
     /// Flip one byte of the `at_snapshot`-th sealed checkpoint (0-based,
-    /// counting every snapshot the supervisor seals). The checksummed
-    /// header guarantees the corruption is *detected* — the snapshot is
-    /// quarantined, never resumed.
+    /// counting every snapshot the supervisor seals, which happens once
+    /// per cadence). The checksummed header guarantees the corruption
+    /// is *detected* at seal time — the seal is quarantined and never
+    /// becomes [`Supervisor::last_seal`].
     CorruptCheckpoint {
         /// Index of the sealed snapshot to corrupt.
         at_snapshot: u64,
@@ -451,7 +454,9 @@ impl FaultInjector {
 /// are deterministic — no wall clocks anywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
-    /// Snapshot every this-many lockstep steps.
+    /// Segment length in lockstep steps, and the seal interval: a
+    /// snapshot is sealed once it is at least this many steps past the
+    /// last seal.
     pub checkpoint_cadence: u64,
     /// Give up (with [`FleetError::RetriesExhausted`]) after this many
     /// failed segment attempts across the whole run.
@@ -467,8 +472,6 @@ pub struct RetryPolicy {
     /// (graceful degradation; results are worker-count-invariant, so
     /// degrading never changes the answer).
     pub degrade_after_stalls: u32,
-    /// Keep at most this many recent good snapshots in memory.
-    pub keep_snapshots: usize,
 }
 
 impl Default for RetryPolicy {
@@ -480,7 +483,6 @@ impl Default for RetryPolicy {
             backoff_initial_steps: 4,
             backoff_multiplier: 2,
             degrade_after_stalls: 2,
-            keep_snapshots: 2,
         }
     }
 }
@@ -509,13 +511,6 @@ impl RetryPolicy {
                 got: self.backoff_multiplier,
             });
         }
-        if self.keep_snapshots < 1 {
-            return Err(ConfigError::TooSmall {
-                field: "kept snapshots",
-                minimum: 1,
-                got: self.keep_snapshots as u64,
-            });
-        }
         Ok(())
     }
 }
@@ -534,11 +529,12 @@ pub struct SupervisorReport {
     pub worker_panics: u32,
     /// Failures classified as over-deadline stalls.
     pub stalls: u32,
-    /// Corrupted snapshots detected (at seal or restore time) and
-    /// quarantined.
+    /// Seals that failed their write-verify and were quarantined.
+    /// Detection happens at seal time only: a retry restores from the
+    /// in-memory snapshot, never from a seal.
     pub corrupt_snapshots_detected: u32,
-    /// Recoveries that restored from a good snapshot (vs. restarting
-    /// from scratch).
+    /// Recoveries that resumed from the in-memory snapshot the failed
+    /// segment started from (vs. restarting a fresh run from step 0).
     pub restores: u32,
     /// Times the worker count was halved.
     pub degradations: u32,
@@ -559,46 +555,38 @@ pub struct SupervisedRun {
     pub report: SupervisorReport,
 }
 
-impl SupervisorReport {
-    /// Fold another report's counters into this one (a session
-    /// accumulating per-`advance` supervision audit trails keeps one
-    /// running total). `final_workers` takes the other report's value —
-    /// it is a point-in-time reading, not a counter.
-    pub fn absorb(&mut self, other: &SupervisorReport) {
-        self.segments += other.segments;
-        self.snapshots_taken += other.snapshots_taken;
-        self.retries += other.retries;
-        self.worker_panics += other.worker_panics;
-        self.stalls += other.stalls;
-        self.corrupt_snapshots_detected += other.corrupt_snapshots_detected;
-        self.restores += other.restores;
-        self.degradations += other.degradations;
-        self.virtual_backoff_steps += other.virtual_backoff_steps;
-        self.final_workers = other.final_workers;
-    }
-}
-
 /// The reusable single-tenant supervisor behind
 /// [`FleetSimulation::run_supervised`], factored out so a long-lived
 /// session can drive a fleet *incrementally*: advance to an arbitrary
 /// step bound, inspect the current snapshot, then advance again — with
-/// the same cadence checkpointing, sealed write-then-verify snapshots,
-/// watchdog, bounded retries, virtual backoff and worker degradation
-/// on every segment.
+/// the same cadence sealing, watchdog, bounded retries, virtual backoff
+/// and worker degradation on every segment.
+///
+/// The restore point is the current in-memory snapshot: a segment only
+/// borrows it, so a failed attempt leaves it intact and the retry
+/// replays from exactly where the failed one started. Sealing is for
+/// durability, not recovery: a snapshot is sealed once it is at least
+/// [`RetryPolicy::checkpoint_cadence`] steps past the last seal (or the
+/// starting snapshot), and the newest seal that passes its write-verify
+/// is kept as [`Supervisor::last_seal`].
 ///
 /// Determinism contract (inherited from the PR 6 resume chain and
 /// pinned by `tests/resilience_props.rs` / `tests/server_session.rs`):
 /// for any sequence of `advance_to` bounds and any recoverable fault
 /// schedule, [`Supervisor::finish`] returns a result bit-identical to
 /// the fault-free batch [`FleetSimulation::run_ids`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Supervisor {
     engine: FleetSimulation,
     policy: RetryPolicy,
     report: SupervisorReport,
-    /// Recent sealed good snapshots, oldest first.
-    history: VecDeque<(u64, Vec<u8>)>,
+    /// The restore point (`None` before the first segment of a fresh
+    /// run).
     current: Option<FleetCheckpoint>,
+    /// Step of the last seal, or of the starting snapshot before any.
+    sealed_step: u64,
+    /// The newest seal that verified, with its step.
+    last_seal: Option<(u64, Vec<u8>)>,
     consecutive_failures: u32,
     stall_strikes: u32,
 }
@@ -613,8 +601,9 @@ impl Supervisor {
             engine,
             policy,
             report: SupervisorReport::default(),
-            history: VecDeque::new(),
             current: None,
+            sealed_step: 0,
+            last_seal: None,
             consecutive_failures: 0,
             stall_strikes: 0,
         })
@@ -623,7 +612,8 @@ impl Supervisor {
     /// A supervisor resuming from an existing snapshot (a hydrated
     /// session). The snapshot is validated against the engine's planes;
     /// an incompatible one surfaces as
-    /// [`FleetError::CorruptCheckpoint`].
+    /// [`FleetError::CorruptCheckpoint`]. It is the restore point from
+    /// the start, and the first seal comes a cadence past its step.
     pub fn from_checkpoint(
         engine: FleetSimulation,
         policy: RetryPolicy,
@@ -631,13 +621,28 @@ impl Supervisor {
     ) -> Result<Self, FleetError> {
         let mut sup = Supervisor::new(engine, policy)?;
         sup.engine.check_checkpoint(&cp).map_err(FleetError::CorruptCheckpoint)?;
+        sup.sealed_step = cp.step;
         sup.current = Some(cp);
         Ok(sup)
+    }
+
+    /// Continue an earlier audit trail (a hydrated session's) instead of
+    /// starting the counters at zero.
+    #[must_use]
+    pub fn with_report(mut self, report: SupervisorReport) -> Self {
+        self.report = report;
+        self
     }
 
     /// The current snapshot (`None` until the first segment completes).
     pub fn checkpoint(&self) -> Option<&FleetCheckpoint> {
         self.current.as_ref()
+    }
+
+    /// The newest seal that passed its write-verify, with the step of
+    /// the snapshot it holds (`None` before the first seal).
+    pub fn last_seal(&self) -> Option<(u64, &[u8])> {
+        self.last_seal.as_ref().map(|(step, sealed)| (*step, sealed.as_slice()))
     }
 
     /// The supervision audit trail so far.
@@ -663,6 +668,14 @@ impl Supervisor {
         self.engine.workers()
     }
 
+    /// Re-shard the segments that follow (clamped to ≥ 1). Results are
+    /// worker-count-invariant, so this never changes bytes.
+    pub fn set_workers(&mut self, workers: usize) {
+        if self.engine.workers() != workers.max(1) {
+            self.engine = self.engine.clone().with_workers(workers);
+        }
+    }
+
     /// Tear down into the current snapshot and the audit trail.
     pub fn into_parts(self) -> (Option<FleetCheckpoint>, SupervisorReport) {
         (self.current, self.report)
@@ -684,35 +697,39 @@ impl Supervisor {
         }
     }
 
-    /// Accept a completed segment's snapshot: seal, expose to scripted
-    /// bit-rot, then write-verify — a corrupted seal is detected here
-    /// and quarantined (the older good snapshot stays).
+    /// Accept a completed segment's snapshot as the new restore point,
+    /// sealing it first if it is a cadence past the last seal.
     fn accept_snapshot(&mut self, cp: FleetCheckpoint) {
         self.report.segments += 1;
         self.consecutive_failures = 0;
-        let mut sealed = cp.seal();
-        let snapshot_index = self.report.snapshots_taken;
-        self.report.snapshots_taken += 1;
-        if let Some(injector) = self.engine.fault_injector() {
-            injector.corrupt_snapshot(snapshot_index, &mut sealed);
-        }
-        match FleetCheckpoint::try_unseal(&sealed) {
-            Ok(_) => {
-                self.history.push_back((cp.step, sealed));
-                while self.history.len() > self.policy.keep_snapshots {
-                    self.history.pop_front();
-                }
-            }
-            Err(_) => self.report.corrupt_snapshots_detected += 1,
+        if cp.step.saturating_sub(self.sealed_step) >= self.policy.checkpoint_cadence {
+            self.seal(&cp);
         }
         self.current = Some(cp);
     }
 
+    /// Seal `cp`, expose the bytes to scripted bit-rot, then write-verify
+    /// them against the container checksum: a corrupted seal is counted
+    /// and quarantined, and the previous good seal stays.
+    fn seal(&mut self, cp: &FleetCheckpoint) {
+        let mut sealed = cp.seal();
+        let snapshot_index = self.report.snapshots_taken;
+        self.report.snapshots_taken += 1;
+        self.sealed_step = cp.step;
+        if let Some(injector) = self.engine.fault_injector() {
+            injector.corrupt_snapshot(snapshot_index, &mut sealed);
+        }
+        match unseal_payload(&sealed) {
+            Ok(_) => self.last_seal = Some((cp.step, sealed)),
+            Err(_) => self.report.corrupt_snapshots_detected += 1,
+        }
+    }
+
     /// Account a failed segment attempt: retry budget, deterministic
-    /// virtual backoff, worker degradation after repeated stalls, and
-    /// restore from the newest snapshot that still verifies
-    /// (quarantining any that rotted in memory). Non-recoverable errors
-    /// pass straight through.
+    /// virtual backoff and worker degradation after repeated stalls.
+    /// The retry restores from the unchanged in-memory snapshot (a
+    /// fresh run with none restarts from step 0). Non-recoverable
+    /// errors pass straight through.
     fn handle_failure(&mut self, err: FleetError) -> Result<(), FleetError> {
         if !err.is_recoverable() {
             return Err(err);
@@ -748,21 +765,9 @@ impl Supervisor {
             self.report.degradations += 1;
             self.stall_strikes = 0;
         }
-        self.current = loop {
-            match self.history.back() {
-                None => break None,
-                Some((_, sealed)) => match FleetCheckpoint::try_unseal(sealed) {
-                    Ok(cp) => {
-                        self.report.restores += 1;
-                        break Some(cp);
-                    }
-                    Err(_) => {
-                        self.report.corrupt_snapshots_detected += 1;
-                        self.history.pop_back();
-                    }
-                },
-            }
-        };
+        if self.current.is_some() {
+            self.report.restores += 1;
+        }
         Ok(())
     }
 
@@ -785,12 +790,7 @@ impl Supervisor {
                     break;
                 }
             }
-            let bound = match &self.current {
-                Some(cp) => {
-                    cp.step.saturating_add(self.policy.checkpoint_cadence).min(target_step)
-                }
-                None => self.policy.checkpoint_cadence.min(target_step),
-            };
+            let bound = self.step().saturating_add(self.policy.checkpoint_cadence).min(target_step);
             let attempt = match &self.current {
                 Some(cp) => self.engine.resume_partial(spec, cp, bound),
                 None => self.engine.run_partial(spec, ids, base_seed, bound),
@@ -832,19 +832,20 @@ impl Supervisor {
 }
 
 impl FleetSimulation {
-    /// Run `ids` to completion under supervision: checkpoint every
-    /// [`RetryPolicy::checkpoint_cadence`] steps, detect worker panics
-    /// (via the fallible pass plumbing) and stalls (via the virtual
-    /// watchdog), recover from the most recent *verified* snapshot with
-    /// bounded retries and deterministic virtual-time backoff, and
-    /// degrade the worker count after repeated stalls.
+    /// Run `ids` to completion under supervision: step in segments of
+    /// [`RetryPolicy::checkpoint_cadence`] steps and seal each segment's
+    /// snapshot, detect worker panics (via the fallible pass plumbing)
+    /// and stalls (via the virtual watchdog), recover from the last good
+    /// in-memory snapshot with bounded retries and deterministic
+    /// virtual-time backoff, and degrade the worker count after
+    /// repeated stalls.
     ///
     /// The result is **bit-identical** to the fault-free
     /// [`FleetSimulation::run_ids`] for any recoverable fault schedule,
-    /// any cadence and any worker/chunk shape — recovery replays from
-    /// snapshots whose resume path is itself bit-identical, and the
-    /// checksummed seal format guarantees corrupted snapshots are
-    /// detected and quarantined, never resumed.
+    /// any cadence and any worker/chunk shape — recovery replays from a
+    /// snapshot whose resume path is itself bit-identical, and the
+    /// checksummed seal format guarantees corrupted seals are detected
+    /// and quarantined.
     ///
     /// Faults come from the injector attached with
     /// [`FleetSimulation::with_fault_injection`] (none attached ⇒ a
@@ -925,8 +926,6 @@ mod tests {
             bad.validated(),
             Err(ConfigError::TooSmall { field: "checkpoint cadence", .. })
         ));
-        let bad = RetryPolicy { keep_snapshots: 0, ..RetryPolicy::default() };
-        assert!(bad.validated().is_err());
     }
 
     #[test]

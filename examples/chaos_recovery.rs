@@ -4,18 +4,45 @@
 //! over-deadline stall and a chaos-drawn schedule on top — and assert
 //! the supervised result is **bit-identical** to the clean run while
 //! printing the supervisor's audit trail (segments, snapshots, retries,
-//! restores, degradations, virtual backoff).
+//! restores, degradations, virtual backoff). The injected faults'
+//! panic messages are silenced while the supervised run lasts; any
+//! other panic still prints.
 //!
 //! ```text
 //! cargo run --release --example chaos_recovery
 //! ```
 
+use std::panic;
 use std::sync::Arc;
 
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::sim::fleet::{FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind};
 use fuzzy_handover::sim::resilience::{Fault, FaultPlan, RetryPolicy};
 use fuzzy_handover::sim::SimConfig;
+
+/// Run `f` with the panic messages of injected faults (which the
+/// supervisor catches and recovers from) dropped, then put the previous
+/// panic hook back. Every other panic reaches the previous hook.
+fn with_injected_faults_quiet<T>(f: impl FnOnce() -> T) -> T {
+    let loud = Arc::new(panic::take_hook());
+    let hook = Arc::clone(&loud);
+    panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        if !message.is_some_and(|m| m.starts_with("injected fault:")) {
+            hook(info);
+        }
+    }));
+    let out = f();
+    drop(panic::take_hook());
+    if let Ok(previous) = Arc::try_unwrap(loud) {
+        panic::set_hook(previous);
+    }
+    out
+}
 
 fn main() {
     let mut cfg = SimConfig::paper_default();
@@ -61,11 +88,13 @@ fn main() {
         stall_deadline_steps: 64,
         ..RetryPolicy::default()
     };
-    let supervised = FleetSimulation::new(cfg)
-        .with_workers(4)
-        .with_fault_injection(Arc::new(plan.injector()))
-        .run_supervised(&spec, &ids, SEED, &policy)
-        .expect("every scripted fault is recoverable");
+    let supervised = with_injected_faults_quiet(|| {
+        FleetSimulation::new(cfg)
+            .with_workers(4)
+            .with_fault_injection(Arc::new(plan.injector()))
+            .run_supervised(&spec, &ids, SEED, &policy)
+    })
+    .expect("every scripted fault is recoverable");
 
     // --- The headline property: recovery changed nothing ---------------
     assert_eq!(
@@ -87,7 +116,7 @@ fn main() {
     println!("    worker panics      : {}", r.worker_panics);
     println!("    over-deadline stalls: {}", r.stalls);
     println!("  corrupt snaps caught : {}", r.corrupt_snapshots_detected);
-    println!("  restores from seal   : {}", r.restores);
+    println!("  restores             : {}", r.restores);
     println!("  degradations         : {}", r.degradations);
     println!("  virtual backoff steps: {}", r.virtual_backoff_steps);
     println!("  final worker count   : {}", r.final_workers);

@@ -350,6 +350,11 @@ fn corrupted_snapshots_are_quarantined_and_recovery_still_succeeds() {
 
     assert!(supervised.report.corrupt_snapshots_detected >= 1);
     assert_eq!(supervised.report.worker_panics, 1);
+    // Seal 0 (step 4) rots; the panic in 8→12 restores the step-8
+    // snapshot; seals land at 4, 8, 12 and 16.
+    assert_eq!(supervised.report.snapshots_taken, 4);
+    assert_eq!(supervised.report.corrupt_snapshots_detected, 1);
+    assert_eq!(supervised.report.restores, 1);
     assert_eq!(clean, supervised.result);
 }
 
@@ -387,4 +392,59 @@ fn supervised_recovery_with_traffic_feedback_plane() {
         clean.traffic, supervised.result.traffic,
         "the traffic report survives recovery byte for byte"
     );
+}
+
+/// A worker panic in the first segment after `from_checkpoint` (the
+/// first advance of a hydrated or hot-swapped session) retries from the
+/// starting snapshot under the new spec. The result equals the clean
+/// `run_partial(fuzzy, 6) → resume(hysteresis)` chain, and the audit
+/// trail shows one restore, not a restart from step 0.
+#[test]
+fn panic_after_from_checkpoint_restores_the_starting_snapshot() {
+    let cfg = noisy_config();
+    let fuzzy = fleet_spec(17, cfg.layout.cell_radius_km());
+    let hysteresis = HomogeneousFleet { policy: PolicyKind::Hysteresis { margin_db: 4.0 }, ..fuzzy };
+    let ids: Vec<u64> = (0..8).collect();
+    let engine = FleetSimulation::new(cfg).with_workers(2);
+    let cp = engine.run_partial(&fuzzy, &ids, 17, 6).expect("partial run");
+    let clean = engine.resume(&hysteresis, &cp).expect("clean resume");
+
+    let plan = FaultPlan::scripted(vec![Fault::WorkerPanic { at_step: 7 }]);
+    let faulty = engine.clone().with_fault_injection(Arc::new(plan.injector()));
+    let mut supervisor =
+        Supervisor::from_checkpoint(faulty, RetryPolicy::default(), cp).expect("valid snapshot");
+    supervisor.advance_to(&hysteresis, &ids, 17, 10).expect("the panic is recoverable");
+    let result = supervisor.finish(&hysteresis, &ids, 17).expect("finish");
+
+    assert_eq!(result, clean);
+    assert_eq!(supervisor.report().retries, 1);
+    assert_eq!(supervisor.report().restores, 1);
+}
+
+/// Seals follow the cadence, not the segment: a snapshot is sealed
+/// once it is a cadence past the last seal, and the newest seal opens
+/// to exactly the checkpoint `run_partial` produces at its step.
+#[test]
+fn the_last_seal_opens_to_the_checkpoint_at_its_step() {
+    let cfg = noisy_config();
+    let spec = fleet_spec(23, cfg.layout.cell_radius_km());
+    let ids: Vec<u64> = (0..6).collect();
+    let engine = FleetSimulation::new(cfg).with_workers(2);
+    let policy = RetryPolicy { checkpoint_cadence: 4, ..RetryPolicy::default() };
+    let mut supervisor = Supervisor::new(engine.clone(), policy).expect("valid planes");
+    assert!(supervisor.last_seal().is_none());
+
+    // Segments 0→4 and 4→8 are sealed; 8→10 is short of the cadence.
+    supervisor.advance_to(&spec, &ids, 23, 10).expect("advance");
+    assert_eq!(supervisor.step(), 10);
+    assert_eq!(supervisor.report().snapshots_taken, 2);
+    let (step, sealed) = supervisor.last_seal().expect("two seals taken");
+    assert_eq!(step, 8);
+    let reference = engine.run_partial(&spec, &ids, 23, 8).expect("partial run");
+    assert_eq!(FleetCheckpoint::try_unseal(sealed).expect("the seal verifies"), reference);
+
+    // 10→12 reaches a cadence past step 8 and is sealed.
+    supervisor.advance_to(&spec, &ids, 23, 12).expect("advance");
+    assert_eq!(supervisor.report().snapshots_taken, 3);
+    assert_eq!(supervisor.last_seal().map(|(step, _)| step), Some(12));
 }

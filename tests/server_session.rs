@@ -439,3 +439,157 @@ fn forged_traces_are_rejected_at_hydrate() {
     let mut revived = Session::hydrate(&forge(|_| {}), 2).unwrap();
     assert!(revived.advance_to(u64::MAX).unwrap().complete);
 }
+
+/// Seals follow the cadence, not the advance: a session at cadence 16
+/// advanced in steps of 2 to step 32 seals twice (at 16 and 32), not
+/// once per advance.
+#[test]
+fn short_advances_seal_only_on_the_cadence() {
+    let mut config = session_config(6, 5, 16);
+    config.mobility = FleetMobility::RandomWalk(fuzzy_handover::mobility::RandomWalk::paper_default(40));
+    let mut session = Session::spawn(config, 2).unwrap();
+    for step in (2..=32).step_by(2) {
+        session.advance_to(step).unwrap();
+    }
+    assert!(!session.is_complete(), "the walks outlast step 32");
+    assert_eq!(session.step(), 32);
+    assert_eq!(session.report().segments, 16);
+    assert_eq!(session.report().snapshots_taken, 2);
+}
+
+/// Both snapshot-carrying frames round-trip `bytes` exactly through
+/// `write_frame`/`read_frame`, and carry them as one base64 string.
+fn assert_snapshot_bytes_round_trip(bytes: &[u8]) {
+    let request = Request::Hydrate { bytes: bytes.to_vec() };
+    let response = Response::Checkpointed { session: 7, bytes: bytes.to_vec() };
+    let mut frame: Vec<u8> = Vec::new();
+    write_frame(&mut frame, &request).unwrap();
+    let text = std::str::from_utf8(&frame[4..]).unwrap();
+    assert!(!text.contains('['), "bytes travel as a string, not a number array: {text}");
+    assert_eq!(read_frame::<_, Request>(&mut frame.as_slice()).unwrap(), Some(request));
+    frame.clear();
+    write_frame(&mut frame, &response).unwrap();
+    assert_eq!(read_frame::<_, Response>(&mut frame.as_slice()).unwrap(), Some(response));
+}
+
+/// `len` bytes drawn from `seed`.
+fn drawn_bytes(len: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 24) as u8
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary byte vectors survive the snapshot frames' base64 codec.
+    #[test]
+    fn snapshot_frames_round_trip_arbitrary_bytes(len in 0usize..300, seed in 0u64..u64::MAX) {
+        assert_snapshot_bytes_round_trip(&drawn_bytes(len, seed));
+    }
+}
+
+/// Every padding case (length mod 3), the empty vector and every byte
+/// value round-trip.
+#[test]
+fn snapshot_frames_round_trip_every_tail_length() {
+    for len in 0..=6 {
+        assert_snapshot_bytes_round_trip(&drawn_bytes(len, 99));
+    }
+    assert_snapshot_bytes_round_trip(&(0..=255).collect::<Vec<u8>>());
+}
+
+/// Frames written before the base64 encoding carry snapshot bytes as a
+/// JSON number array; the server still decodes and hydrates them.
+#[test]
+fn legacy_number_array_hydrate_frames_still_decode() {
+    let mut session = Session::spawn(session_config(6, 9, 3), 2).unwrap();
+    session.advance_to(4).unwrap();
+    let sealed = session.sealed();
+    let legacy = format!("{{\"Hydrate\":{{\"bytes\":{}}}}}", serde_json::to_string(&sealed).unwrap());
+    let mut input = (legacy.len() as u32).to_le_bytes().to_vec();
+    input.extend_from_slice(legacy.as_bytes());
+    let decoded: Request = read_frame(&mut input.as_slice()).unwrap().unwrap();
+    assert_eq!(decoded, Request::Hydrate { bytes: sealed });
+
+    write_frame(&mut input, &Request::Shutdown).unwrap();
+    let mut server = TwinServer::new(2);
+    let mut output: Vec<u8> = Vec::new();
+    assert!(serve(&mut server, input.as_slice(), &mut output).unwrap());
+    let first: Response = read_frame(&mut output.as_slice()).unwrap().unwrap();
+    assert!(matches!(first, Response::Hydrated { .. }), "{first:?}");
+    assert_eq!(server.session_count(), 1);
+}
+
+/// Bad base64 in a snapshot frame is a malformed request: `serve`
+/// answers `BadRequest` and keeps the connection open.
+#[test]
+fn bad_base64_answers_bad_request() {
+    let bad = [
+        ("a bad character", "QU$D"),
+        ("a bad length", "QUJD="),
+        ("padding inside the text", "QU=DQUJD"),
+        ("a non-canonical tail", "QUJ="),
+        ("a non-canonical double-padded tail", "QR=="),
+    ];
+    let mut input: Vec<u8> = Vec::new();
+    for (_, text) in &bad {
+        let frame = format!("{{\"Hydrate\":{{\"bytes\":\"{text}\"}}}}");
+        input.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        input.extend_from_slice(frame.as_bytes());
+    }
+    write_frame(&mut input, &Request::List).unwrap();
+    write_frame(&mut input, &Request::Shutdown).unwrap();
+
+    let mut server = TwinServer::new(1);
+    let mut output: Vec<u8> = Vec::new();
+    assert!(serve(&mut server, input.as_slice(), &mut output).unwrap());
+    let mut frames = output.as_slice();
+    for (what, _) in &bad {
+        let response: Response = read_frame(&mut frames).unwrap().unwrap();
+        assert!(
+            matches!(response, Response::Error { error: ServerError::BadRequest { .. } }),
+            "{what}: {response:?}"
+        );
+    }
+    let listed: Response = read_frame(&mut frames).unwrap().unwrap();
+    assert!(matches!(listed, Response::Sessions { ref sessions } if sessions.is_empty()));
+    assert_eq!(server.session_count(), 0);
+}
+
+/// Sessions sealed, and `Spawn` frames written, before the retry
+/// policy lost its `keep_snapshots` field still decode.
+#[test]
+fn configs_with_the_removed_keep_snapshots_key_still_decode() {
+    let with_legacy_key = |json: &str| {
+        let legacy = json.replacen(
+            "\"degrade_after_stalls\":",
+            "\"keep_snapshots\":2,\"degrade_after_stalls\":",
+            1,
+        );
+        assert_ne!(legacy, json, "the key went into the retry policy");
+        legacy
+    };
+    let config = session_config(6, 9, 3);
+    let mut session = Session::spawn(config.clone(), 2).unwrap();
+    session.advance_to(4).unwrap();
+    let sealed = session.sealed();
+    let payload = std::str::from_utf8(unseal_payload(&sealed).unwrap()).unwrap();
+    let resealed = seal_payload(with_legacy_key(payload).as_bytes());
+    let revived = Session::hydrate(&resealed, 2).unwrap();
+    assert_eq!(revived.snapshot(), session.snapshot());
+
+    let mut frame: Vec<u8> = Vec::new();
+    write_frame(&mut frame, &Request::Spawn { config: Box::new(config.clone()) }).unwrap();
+    let legacy = with_legacy_key(std::str::from_utf8(&frame[4..]).unwrap());
+    let mut legacy_frame = (legacy.len() as u32).to_le_bytes().to_vec();
+    legacy_frame.extend_from_slice(legacy.as_bytes());
+    let decoded: Request = read_frame(&mut legacy_frame.as_slice()).unwrap().unwrap();
+    assert!(matches!(decoded, Request::Spawn { config: c } if *c == config));
+}
