@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use handover_server::{
-    read_frame, write_frame, Request, Session, SessionConfig, TwinServer,
+    read_frame, write_frame, Request, Response, Session, SessionConfig, TwinServer,
 };
 use handover_sim::fleet::{
     FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind,
@@ -68,12 +68,33 @@ fn bench_session_vs_batch(c: &mut Criterion) {
     g.finish();
 }
 
-/// Persistence: seal a mid-run session and rehydrate it.
+/// One persist cycle as a twin client sees it, minus the transport:
+/// seal, carry the bytes out in a `Checkpointed` frame and back in a
+/// `Hydrate` frame, then hydrate.
+fn persist_cycle(session: &Session) -> Session {
+    let mut wire: Vec<u8> = Vec::new();
+    let response = Response::Checkpointed { session: 1, bytes: session.sealed() };
+    write_frame(&mut wire, &response).expect("encode");
+    let back = read_frame(&mut wire.as_slice()).expect("decode");
+    let Some(Response::Checkpointed { bytes, .. }) = back else {
+        panic!("a Checkpointed frame comes back");
+    };
+    wire.clear();
+    write_frame(&mut wire, &Request::Hydrate { bytes }).expect("encode");
+    let Some(Request::Hydrate { bytes }) = read_frame(&mut wire.as_slice()).expect("decode") else {
+        panic!("a Hydrate frame comes back");
+    };
+    Session::hydrate(&bytes, 4).expect("hydrate")
+}
+
+/// Persistence: seal a mid-run session and rehydrate it, alone and as
+/// a whole persist cycle through both snapshot frames.
 fn bench_seal_hydrate(c: &mut Criterion) {
     let mut session = Session::spawn(bench_config(), 4).expect("valid config");
     session.advance_to(5).expect("advance");
     let sealed = session.sealed();
     assert!(Session::hydrate(&sealed, 4).is_ok(), "sealed bytes must hydrate");
+    assert_eq!(persist_cycle(&session).snapshot(), session.snapshot(), "the cycle is lossless");
 
     let mut g = c.benchmark_group("server");
     g.sample_size(10);
@@ -81,6 +102,7 @@ fn bench_seal_hydrate(c: &mut Criterion) {
     g.bench_function("hydrate_midrun_500_ues", |b| {
         b.iter(|| black_box(Session::hydrate(&sealed, 4).expect("hydrate")))
     });
+    g.bench_function("persist_cycle_500_ues", |b| b.iter(|| black_box(persist_cycle(&session))));
     g.finish();
 }
 

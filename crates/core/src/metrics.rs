@@ -53,6 +53,19 @@ impl EventLog {
         Self::default()
     }
 
+    /// Rebuild a log from its parts — the checkpoint decoders' entry
+    /// point. Rejects more outage steps than steps.
+    pub fn from_parts(
+        events: Vec<HandoverEvent>,
+        steps: usize,
+        outage_steps: usize,
+    ) -> Result<Self, String> {
+        if outage_steps > steps {
+            return Err(format!("event log has {outage_steps} outage steps of {steps} steps"));
+        }
+        Ok(EventLog { events, steps, outage_steps })
+    }
+
     /// Empty the log in place, keeping the event allocation — the fleet
     /// engine's chunk arenas recycle logs across UEs with this.
     pub fn clear(&mut self) {
@@ -149,9 +162,32 @@ impl CellLoadHistogram {
         CellLoadHistogram { cells, counts }
     }
 
+    /// Rebuild a histogram from its parts — the checkpoint decoders'
+    /// entry point. Rejects an empty cell list and a count list whose
+    /// length differs from the cell list's.
+    pub fn from_parts(cells: Vec<Axial>, counts: Vec<u64>) -> Result<Self, String> {
+        if cells.is_empty() {
+            return Err("a load histogram needs at least one cell".into());
+        }
+        if counts.len() != cells.len() {
+            return Err(format!(
+                "load histogram has {} counts for {} cells",
+                counts.len(),
+                cells.len()
+            ));
+        }
+        Ok(CellLoadHistogram { cells, counts })
+    }
+
     /// The tracked cells, in construction order.
     pub fn cells(&self) -> &[Axial] {
         &self.cells
+    }
+
+    /// The served step counts, one per tracked cell in construction
+    /// order.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
     }
 
     /// Record one UE-step served by the cell at `cell_index` (the hot
@@ -452,6 +488,19 @@ mod tests {
     fn load_histogram_rejects_unknown_cell_record() {
         let mut h = CellLoadHistogram::new(vec![Axial::ORIGIN]);
         h.record(Axial::new(3, 3));
+    }
+
+    #[test]
+    fn from_parts_rebuild_and_reject_inconsistent_parts() {
+        let log = EventLog::from_parts(vec![ev(3, (0, 0), (1, 0))], 5, 2).unwrap();
+        assert_eq!((log.handover_count(), log.step_count(), log.outage_step_count()), (1, 5, 2));
+        assert!(EventLog::from_parts(Vec::new(), 2, 3).is_err(), "outage past the steps");
+
+        let cells = vec![Axial::ORIGIN, Axial::new(1, 0)];
+        let h = CellLoadHistogram::from_parts(cells.clone(), vec![4, 6]).unwrap();
+        assert_eq!((h.cells(), h.counts()), (&cells[..], &[4u64, 6][..]));
+        assert!(CellLoadHistogram::from_parts(cells, vec![1]).is_err(), "length mismatch");
+        assert!(CellLoadHistogram::from_parts(Vec::new(), Vec::new()).is_err(), "no cells");
     }
 
     #[test]

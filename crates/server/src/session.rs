@@ -26,9 +26,23 @@
 //! `run_partial(old spec, swap_step)` → `resume(new spec)` chain — is
 //! bit-identical. A segment that fails right after a swap or a hydrate
 //! retries from that same snapshot under the new spec.
+//!
+//! ## Snapshot layout
+//!
+//! [`Session::sealed`] writes a sealed container
+//! ([`handover_sim::seal_payload`], container version 3) whose payload
+//! is a `u64` little-endian length, that many bytes of JSON head — the
+//! [`SessionSnapshot`] with `fleet: null`, so config decoding keeps its
+//! tolerance of removed keys — and then, when the session has a fleet
+//! snapshot, its binary encoding
+//! ([`FleetCheckpoint::encode_into`]). No float is formatted or
+//! parsed as text on the fleet's behalf. [`Session::hydrate`] also
+//! reads the legacy v2 payload, the whole [`SessionSnapshot`] as JSON.
 
 use handover_core::twin::{CellLoadReport, SessionStatus, UePhase, UeTwinReport};
-use handover_sim::checkpoint::{seal_payload, unseal_payload, CheckpointError};
+use handover_sim::checkpoint::{
+    seal_payload, unseal_payload, CheckpointError, SEALED_JSON_VERSION,
+};
 use handover_sim::fleet::{
     CandidateMode, FleetError, FleetMobility, FleetResult, FleetSimulation,
     HomogeneousFleet, PolicyKind,
@@ -246,10 +260,11 @@ pub struct PolicySwap {
     pub policy: PolicyKind,
 }
 
-/// Everything a session is, frozen: serialized to JSON and sealed in
-/// the same checksummed container as fleet checkpoints
-/// ([`handover_sim::seal_payload`]), so persisted sessions inherit the
-/// write-then-verify bit-rot detection.
+/// Everything a session is, frozen. [`Session::sealed`] writes it as
+/// a JSON head with the fleet snapshot in binary behind it (see the
+/// module docs), in the same checksummed container as fleet
+/// checkpoints ([`handover_sim::seal_payload`]), so persisted sessions
+/// inherit the write-then-verify bit-rot detection.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionSnapshot {
     /// Snapshot payload version ([`SESSION_SNAPSHOT_VERSION`]).
@@ -524,27 +539,41 @@ impl Session {
 
     /// Freeze the session into its serializable snapshot form.
     pub fn snapshot(&self) -> SessionSnapshot {
+        SessionSnapshot { fleet: self.checkpoint().cloned(), ..self.head() }
+    }
+
+    /// The snapshot without its fleet state: the JSON head of a sealed
+    /// session.
+    fn head(&self) -> SessionSnapshot {
         SessionSnapshot {
             version: SESSION_SNAPSHOT_VERSION,
             config: self.config.clone(),
             policy_now: self.policy_now,
             swaps: self.swaps.clone(),
-            fleet: self.checkpoint().cloned(),
+            fleet: None,
             result: self.result.clone(),
             report: self.report(),
         }
     }
 
-    /// Persist: snapshot → JSON → the checksummed sealed container
-    /// (same envelope as [`FleetCheckpoint::seal`], so restore verifies
-    /// magic, length and checksum before touching the payload).
+    /// Persist into the checksummed sealed container (same envelope as
+    /// [`FleetCheckpoint::seal`], so restore verifies magic, length and
+    /// checksum before touching the payload): the JSON head, then the
+    /// fleet snapshot encoded in binary straight from the supervisor's
+    /// copy — see the module docs for the layout.
     pub fn sealed(&self) -> Vec<u8> {
-        let payload =
-            serde_json::to_string(&self.snapshot()).expect("session snapshots serialize to JSON");
-        seal_payload(payload.as_bytes())
+        let head = serde_json::to_string(&self.head()).expect("session heads serialize to JSON");
+        let mut payload = Vec::with_capacity(8 + head.len());
+        payload.extend_from_slice(&(head.len() as u64).to_le_bytes());
+        payload.extend_from_slice(head.as_bytes());
+        if let Some(cp) = self.checkpoint() {
+            cp.encode_into(&mut payload);
+        }
+        seal_payload(&payload)
     }
 
-    /// Rehydrate a sealed session. Total on arbitrary input: corrupt,
+    /// Rehydrate a sealed session, in the current layout or the legacy
+    /// whole-JSON v2 payload. Total on arbitrary input: corrupt,
     /// truncated or foreign bytes surface as
     /// [`SessionError::Corrupt`], never a panic; the embedded config is
     /// re-validated and the fleet checkpoint passes the same
@@ -553,11 +582,12 @@ impl Session {
     /// The session's supervisor is rebuilt here, seeded with the
     /// snapshot's checkpoint and audit trail.
     pub fn hydrate(bytes: &[u8], workers: usize) -> Result<Session, SessionError> {
-        let payload = unseal_payload(bytes).map_err(SessionError::Corrupt)?;
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| SessionError::Corrupt(CheckpointError::Malformed(e.to_string())))?;
-        let snap: SessionSnapshot = serde_json::from_str(text)
-            .map_err(|e| SessionError::Corrupt(CheckpointError::Malformed(e.to_string())))?;
+        let (version, payload) = unseal_payload(bytes).map_err(SessionError::Corrupt)?;
+        let snap = if version == SEALED_JSON_VERSION {
+            parse_json(payload)?
+        } else {
+            parse_v3(payload)?
+        };
         if snap.version != SESSION_SNAPSHOT_VERSION {
             return Err(SessionError::Corrupt(CheckpointError::UnsupportedVersion {
                 found: snap.version,
@@ -583,4 +613,33 @@ impl Session {
             ids,
         })
     }
+}
+
+/// Split and decode a v3 session payload: the length-prefixed JSON
+/// head, then the fleet snapshot in binary when there is one.
+fn parse_v3(payload: &[u8]) -> Result<SessionSnapshot, SessionError> {
+    let malformed = |msg: &str| SessionError::Corrupt(CheckpointError::Malformed(msg.into()));
+    let (len, rest) = payload.split_at(payload.len().min(8));
+    let head_len = <[u8; 8]>::try_from(len)
+        .map(u64::from_le_bytes)
+        .map_err(|_| malformed("session payload ends inside the head length"))?;
+    if head_len > rest.len() as u64 {
+        return Err(malformed("session head length exceeds the payload"));
+    }
+    let (head, fleet) = rest.split_at(head_len as usize);
+    let mut snap = parse_json(head)?;
+    if snap.fleet.is_some() {
+        return Err(malformed("the session head carries a fleet snapshot"));
+    }
+    if !fleet.is_empty() {
+        snap.fleet = Some(FleetCheckpoint::decode(fleet).map_err(SessionError::Corrupt)?);
+    }
+    Ok(snap)
+}
+
+/// Parse a JSON session snapshot (a whole legacy payload or a head).
+fn parse_json(bytes: &[u8]) -> Result<SessionSnapshot, SessionError> {
+    let malformed = |msg: String| SessionError::Corrupt(CheckpointError::Malformed(msg));
+    let text = std::str::from_utf8(bytes).map_err(|e| malformed(e.to_string()))?;
+    serde_json::from_str(text).map_err(|e| malformed(e.to_string()))
 }

@@ -18,6 +18,26 @@
 //! produces the same [`FleetResult`](crate::fleet::FleetResult) — every
 //! `f64` bit included — as the uninterrupted run, for any worker count
 //! and chunk size on either side of the snapshot.
+//!
+//! ## Sealed formats
+//!
+//! [`FleetCheckpoint::seal`] wraps the snapshot in a checksummed
+//! container: a 28-byte header ([`SEALED_MAGIC`], container version,
+//! payload length, FNV-1a-64 payload checksum) and the payload. The
+//! container version names the payload encoding:
+//!
+//! | version | payload | status |
+//! |---|---|---|
+//! | 1 | bare JSON, no header | rejected with a typed [`CheckpointError::UnsupportedVersion`] |
+//! | 2 ([`SEALED_JSON_VERSION`]) | the serde JSON text of the snapshot | read-only: sealed files on disk still restore |
+//! | 3 ([`SEALED_FORMAT_VERSION`]) | little-endian binary, every `f64` as its raw bits | the only version written |
+//!
+//! The v3 decoder is total: every length prefix is checked against the
+//! bytes left before anything is allocated, and unknown tags, short
+//! payloads and trailing bytes are [`CheckpointError::Malformed`]. Both
+//! readers finish with [`FleetCheckpoint::try_validate`].
+
+mod codec;
 
 use crate::fleet::UeOutcome;
 use crate::traffic::UeTrace;
@@ -36,11 +56,16 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 /// byte (JSON starts with `{`).
 pub const SEALED_MAGIC: [u8; 8] = *b"FZHOCKPT";
 
-/// Version of the sealed *container* format (the inner
-/// [`CHECKPOINT_VERSION`] versions the payload layout independently).
+/// Version of the sealed *container* format written today (the inner
+/// [`CHECKPOINT_VERSION`] versions the snapshot fields independently).
 /// v1 is the historical bare-JSON form with no header; v2 adds the
-/// magic + length + FNV-1a checksum header.
-pub const SEALED_FORMAT_VERSION: u32 = 2;
+/// magic + length + FNV-1a checksum header over a JSON payload; v3
+/// keeps that header over a binary payload (see the module docs).
+pub const SEALED_FORMAT_VERSION: u32 = 3;
+
+/// The legacy container version whose payload is JSON text: still
+/// read, never written.
+pub const SEALED_JSON_VERSION: u32 = 2;
 
 /// Sealed header layout: magic (8) + container version (u32 LE) +
 /// payload length (u64 LE) + FNV-1a-64 payload checksum (u64 LE).
@@ -164,11 +189,12 @@ fn le_u64(bytes: &[u8], offset: usize) -> Option<u64> {
     Some(v)
 }
 
-/// Wrap an arbitrary payload in the sealed container format:
-/// [`SEALED_MAGIC`] + container version + payload length + FNV-1a
-/// payload checksum + the payload bytes. [`FleetCheckpoint::seal`] and
-/// the server's session snapshots both write this envelope, so one
-/// verifier ([`unseal_payload`]) guards every persistence path.
+/// Wrap a v3 payload in the sealed container format:
+/// [`SEALED_MAGIC`] + [`SEALED_FORMAT_VERSION`] + payload length +
+/// FNV-1a payload checksum + the payload bytes.
+/// [`FleetCheckpoint::seal`] and the server's session snapshots both
+/// write this envelope, so one verifier ([`unseal_payload`]) guards
+/// every persistence path.
 pub fn seal_payload(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(SEALED_HEADER_LEN + payload.len());
     out.extend_from_slice(&SEALED_MAGIC);
@@ -180,12 +206,14 @@ pub fn seal_payload(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Verify a sealed container's magic, version, declared length and
-/// payload checksum, returning the payload slice. Total function: every
+/// payload checksum, returning the container version it verified
+/// ([`SEALED_FORMAT_VERSION`] or [`SEALED_JSON_VERSION`]) and the
+/// payload slice. Total function: every
 /// byte string — empty, truncated mid-header, bit-flipped, foreign —
 /// maps to `Ok` or a typed [`CheckpointError`]; the header fields are
 /// read with bounds-checked accessors, so no input can panic
 /// (fuzz-pinned by `tests/checkpoint_fuzz.rs`).
-pub fn unseal_payload(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
+pub fn unseal_payload(bytes: &[u8]) -> Result<(u32, &[u8]), CheckpointError> {
     if bytes.first() == Some(&b'{') {
         // The v1 format: bare JSON, no header, no checksum.
         return Err(CheckpointError::UnsupportedVersion {
@@ -203,7 +231,7 @@ pub fn unseal_payload(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
         return Err(CheckpointError::BadMagic);
     }
     let version = le_u32(bytes, 8).ok_or(CheckpointError::BadMagic)?;
-    if version != SEALED_FORMAT_VERSION {
+    if version != SEALED_FORMAT_VERSION && version != SEALED_JSON_VERSION {
         return Err(CheckpointError::UnsupportedVersion {
             found: version,
             supported: SEALED_FORMAT_VERSION,
@@ -223,7 +251,7 @@ pub fn unseal_payload(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
     if expected != actual {
         return Err(CheckpointError::ChecksumMismatch { expected, actual });
     }
-    Ok(payload)
+    Ok((version, payload))
 }
 
 /// The exact state of one UE's ChaCha12 measurement RNG, including the
@@ -400,29 +428,46 @@ impl FleetCheckpoint {
         Ok(())
     }
 
-    /// Seal the snapshot into the checksummed container format:
+    /// Seal the snapshot into the checksummed v3 container:
     /// [`SEALED_MAGIC`] + container version + payload length + FNV-1a
     /// payload checksum + the canonical (shard-invariant, UE-id-sorted)
-    /// JSON payload. [`FleetCheckpoint::try_unseal`] verifies all four
-    /// before deserializing, so bit-rot and truncation are *detected*
-    /// rather than resumed.
+    /// binary payload of [`FleetCheckpoint::encode_into`].
+    /// [`FleetCheckpoint::try_unseal`] verifies all four before
+    /// decoding, so bit-rot and truncation are *detected* rather than
+    /// resumed.
     pub fn seal(&self) -> Vec<u8> {
-        // invariant: every field of FleetCheckpoint serializes with
-        // serde_json (the v1 golden pins exactly these bytes).
-        let payload =
-            serde_json::to_string(self).expect("fleet checkpoints serialize to JSON").into_bytes();
+        let mut payload = Vec::new();
+        self.encode_into(&mut payload);
         seal_payload(&payload)
+    }
+
+    /// Append the v3 binary payload encoding of the snapshot to `out`
+    /// (no container header) — the fleet part of a sealed session.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        codec::encode(self, out);
+    }
+
+    /// Decode a whole v3 binary payload (as written by
+    /// [`FleetCheckpoint::encode_into`]) and
+    /// [`FleetCheckpoint::try_validate`] it. Total on arbitrary input.
+    pub fn decode(payload: &[u8]) -> Result<FleetCheckpoint, CheckpointError> {
+        let cp = codec::decode(payload)?;
+        cp.try_validate()?;
+        Ok(cp)
     }
 
     /// Open a sealed container: verify magic, container version,
     /// declared length and payload checksum (via [`unseal_payload`]),
-    /// then deserialize and [`FleetCheckpoint::try_validate`] the
-    /// snapshot. Historical v1 (headerless bare-JSON) bytes are
-    /// recognised and rejected with a typed
-    /// [`CheckpointError::UnsupportedVersion`]. Total on arbitrary
-    /// input: never panics, for any byte string.
+    /// then decode the v3 binary or legacy v2 JSON payload and
+    /// [`FleetCheckpoint::try_validate`] the snapshot. Historical v1
+    /// (headerless bare-JSON) bytes are recognised and rejected with a
+    /// typed [`CheckpointError::UnsupportedVersion`]. Total on
+    /// arbitrary input: never panics, for any byte string.
     pub fn try_unseal(bytes: &[u8]) -> Result<FleetCheckpoint, CheckpointError> {
-        let payload = unseal_payload(bytes)?;
+        let (version, payload) = unseal_payload(bytes)?;
+        if version == SEALED_FORMAT_VERSION {
+            return FleetCheckpoint::decode(payload);
+        }
         let text = std::str::from_utf8(payload)
             .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
         let cp: FleetCheckpoint =
@@ -534,6 +579,19 @@ mod tests {
         assert_eq!(&sealed[..8], &SEALED_MAGIC);
         let back = FleetCheckpoint::try_unseal(&sealed).unwrap();
         assert_eq!(cp, back);
+    }
+
+    #[test]
+    fn v2_json_containers_still_unseal() {
+        let cp = empty_checkpoint(CHECKPOINT_VERSION);
+        let json = serde_json::to_string(&cp).unwrap();
+        let mut v2 = seal_payload(json.as_bytes());
+        v2[8..12].copy_from_slice(&SEALED_JSON_VERSION.to_le_bytes());
+        assert_eq!(unseal_payload(&v2).unwrap(), (SEALED_JSON_VERSION, json.as_bytes()));
+        assert_eq!(FleetCheckpoint::try_unseal(&v2).unwrap(), cp);
+        let v3 = cp.seal();
+        assert_eq!(unseal_payload(&v3).unwrap().0, SEALED_FORMAT_VERSION);
+        assert!(v3.len() < v2.len(), "the binary payload is the smaller one");
     }
 
     #[test]

@@ -1266,9 +1266,10 @@ impl FleetSimulation {
     /// ascending by UE id, and in every finished or live trace each
     /// change point names a layout cell, change steps strictly ascend
     /// below the trace's step count, and that count never passes the
-    /// snapshot's step. A forged lane or trace is rejected here instead
-    /// of panicking a worker or indexing out of bounds in the traffic
-    /// replay.
+    /// snapshot's step. The serving-load histogram must track exactly
+    /// the layout's cells, in layout order. A forged lane, trace or
+    /// histogram is rejected here instead of panicking a worker, the
+    /// load merge or the traffic replay.
     pub fn check_checkpoint(&self, cp: &FleetCheckpoint) -> Result<(), CheckpointError> {
         cp.try_validate()?;
         let engine_tracing = self.tracing();
@@ -1283,7 +1284,13 @@ impl FleetSimulation {
                 "finished traces are not strictly ascending by UE id".into(),
             ));
         }
-        let n_cells = self.config().layout.cells().len();
+        let layout_cells = self.config().layout.cells();
+        let n_cells = layout_cells.len();
+        if cp.cell_load.cells() != layout_cells || cp.cell_load.counts().len() != n_cells {
+            return Err(CheckpointError::ShapeMismatch(format!(
+                "the serving-load histogram does not track the {n_cells} layout cells in order"
+            )));
+        }
         // try_validate made every live UE's lanes as long as its
         // shadowing lane, which must have one slot per layout cell.
         if let Some(ue) = cp.live.iter().find(|ue| ue.engine.shadow.values.len() != n_cells) {

@@ -65,7 +65,8 @@ pub mod traffic;
 
 pub use checkpoint::{
     seal_payload, unseal_payload, CheckpointError, FleetCheckpoint, UeCheckpoint,
-    CHECKPOINT_VERSION, SEALED_FORMAT_VERSION, SEALED_HEADER_LEN, SEALED_MAGIC,
+    CHECKPOINT_VERSION, SEALED_FORMAT_VERSION, SEALED_HEADER_LEN, SEALED_JSON_VERSION,
+    SEALED_MAGIC,
 };
 pub use dynamics::{
     CellOutage, ChurnConfig, DynamicsConfig, ServiceMix, ServiceParams, TidalWave, CHURN_STREAM,

@@ -25,7 +25,7 @@ use fuzzy_handover::sim::fleet::{
     UeOutcome,
 };
 use fuzzy_handover::sim::matrix::ScenarioMatrix;
-use fuzzy_handover::sim::{SimConfig, Simulation};
+use fuzzy_handover::sim::{FleetCheckpoint, SimConfig, Simulation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -230,7 +230,8 @@ proptest! {
     }
 
     /// Contract 6: freeze at an arbitrary step under one worker/chunk
-    /// shape, resume under another — the reassembled result is
+    /// shape, seal and unseal the snapshot (the v3 binary container),
+    /// resume under another — the reassembled result is
     /// bit-identical to the uninterrupted run, in the dense mode and in
     /// both pruned modes (whose snapshots carry the lazy
     /// `last_advanced_km` lanes).
@@ -265,10 +266,12 @@ proptest! {
             .with_chunk_size(chunk_a)
             .run_partial(&spec, &ids, seed, snap_step)
             .unwrap();
+        let restored = FleetCheckpoint::try_unseal(&cp.seal()).unwrap();
+        prop_assert_eq!(&restored, &cp);
         let resumed = engine()
             .with_workers(workers_b)
             .with_chunk_size(chunk_b)
-            .resume(&spec, &cp)
+            .resume(&spec, &restored)
             .unwrap();
         prop_assert_eq!(&full, &resumed);
         for (a, b) in full.outcomes.iter().zip(&resumed.outcomes) {

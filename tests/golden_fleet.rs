@@ -6,8 +6,11 @@
 //! bytes of a small mid-run snapshot — RNG block positions, shadowing
 //! lanes, smoother filters, policy state, traces and tallies — and
 //! additionally proves the *pinned* bytes still resume bit-identically
-//! to the uninterrupted run. Refresh after an *intentional* format
-//! change (and a `CHECKPOINT_VERSION` bump) with:
+//! to the uninterrupted run. The sealed containers are pinned too: the
+//! v3 binary container byte for byte against a fresh
+//! [`FleetCheckpoint::seal`], and the legacy v2 JSON container as a
+//! read-only file that must keep restoring. Refresh after an
+//! *intentional* format change (and a `CHECKPOINT_VERSION` bump) with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_fleet
@@ -16,7 +19,8 @@
 use fuzzy_handover::mobility::RandomWalk;
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::sim::checkpoint::{
-    CheckpointError, SEALED_FORMAT_VERSION, SEALED_HEADER_LEN, SEALED_MAGIC,
+    unseal_payload, CheckpointError, SEALED_FORMAT_VERSION, SEALED_HEADER_LEN,
+    SEALED_JSON_VERSION, SEALED_MAGIC,
 };
 use fuzzy_handover::sim::fleet::{FleetMobility, FleetSimulation, HomogeneousFleet, PolicyKind};
 use fuzzy_handover::sim::{FleetCheckpoint, SimConfig, TrafficConfig};
@@ -29,11 +33,19 @@ fn golden_path() -> PathBuf {
         .join("checkpoint.json")
 }
 
-fn sealed_golden_path() -> PathBuf {
+/// The legacy v2 (JSON payload) container: read-only, never refreshed.
+fn sealed_v2_golden_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden_fleet")
         .join("checkpoint.sealed.bin")
+}
+
+fn sealed_golden_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden_fleet")
+        .join("checkpoint.v3.sealed.bin")
 }
 
 fn engine() -> FleetSimulation {
@@ -113,10 +125,10 @@ fn checkpoint_format_matches_golden_and_resumes() {
     assert_eq!(full, resumed, "golden checkpoint no longer resumes bit-identically");
 }
 
-/// The checksummed sealed container (format v2) is itself a pinned
+/// The checksummed sealed container (format v3) is itself a pinned
 /// on-disk artifact: magic + version + length + FNV-1a checksum +
-/// payload, byte for byte — and the pinned bytes still unseal and
-/// resume into the exact uninterrupted result.
+/// binary payload, byte for byte — and the pinned bytes still unseal
+/// and resume into the exact uninterrupted result.
 #[test]
 fn sealed_checkpoint_matches_golden_and_restores() {
     let engine = engine();
@@ -168,6 +180,32 @@ fn sealed_checkpoint_matches_golden_and_restores() {
     let resumed = engine.resume(&spec, &parsed).expect("resume sealed golden");
     let full = engine.run_ids(&spec, &ids, BASE_SEED);
     assert_eq!(full, resumed, "sealed golden no longer resumes bit-identically");
+}
+
+/// The v2 container a JSON-writing build sealed stays readable: the
+/// file is never refreshed, its payload is still the snapshot's JSON
+/// text, and it unseals to the fresh snapshot and resumes
+/// bit-identically.
+#[test]
+fn v2_sealed_golden_still_restores() {
+    let engine = engine();
+    let spec = spec();
+    let ids: Vec<u64> = (0..N_UES).collect();
+    let cp = engine
+        .run_partial(&spec, &ids, BASE_SEED, SNAP_STEP)
+        .expect("partial run");
+
+    let golden = std::fs::read(sealed_v2_golden_path()).expect("v2 sealed golden present");
+    let (version, payload) = unseal_payload(&golden).expect("the v2 golden verifies");
+    assert_eq!(version, SEALED_JSON_VERSION);
+    let json = serde_json::to_string(&cp).expect("serialize checkpoint");
+    assert_eq!(payload, json.as_bytes(), "the v2 payload is the snapshot's JSON text");
+
+    let parsed = FleetCheckpoint::try_unseal(&golden).expect("unseal v2 golden");
+    assert_eq!(parsed, cp);
+    let resumed = engine.resume(&spec, &parsed).expect("resume v2 golden");
+    let full = engine.run_ids(&spec, &ids, BASE_SEED);
+    assert_eq!(full, resumed, "v2 golden no longer resumes bit-identically");
 }
 
 /// Forward-compatibility gate: the v1 bare-JSON golden — exactly what a

@@ -17,6 +17,8 @@
 //!    direct calls, and a malformed frame answers `BadRequest` without
 //!    killing the connection.
 
+use fuzzy_handover::core::CellLoadHistogram;
+use fuzzy_handover::geometry::Axial;
 use fuzzy_handover::radio::{MeasurementNoise, ShadowingConfig};
 use fuzzy_handover::server::{
     read_frame, serve, spawn_in_process, write_frame, Request, Response, ServerError, Session,
@@ -27,7 +29,9 @@ use fuzzy_handover::sim::fleet::{
 };
 use fuzzy_handover::sim::checkpoint::CheckpointError;
 use fuzzy_handover::sim::traffic::UeTrace;
-use fuzzy_handover::sim::{seal_payload, unseal_payload, ConfigError, SimConfig, TrafficConfig};
+use fuzzy_handover::sim::{
+    seal_payload, ConfigError, SimConfig, TrafficConfig, SEALED_JSON_VERSION,
+};
 use proptest::prelude::*;
 
 /// Shadowing + measurement noise so every per-UE RNG stream is live,
@@ -81,6 +85,32 @@ fn batch_run(config: &SessionConfig, workers: usize) -> FleetResult {
         &ids,
         config.base_seed,
     )
+}
+
+/// Seal `payload` under a v2 container header, the layout builds that
+/// wrote whole-JSON session snapshots used.
+fn seal_v2(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = seal_payload(payload);
+    bytes[8..12].copy_from_slice(&SEALED_JSON_VERSION.to_le_bytes());
+    bytes
+}
+
+/// The legacy v2 sealing of a snapshot: the whole snapshot as JSON.
+fn sealed_v2(snap: &SessionSnapshot) -> Vec<u8> {
+    seal_v2(serde_json::to_string(snap).unwrap().as_bytes())
+}
+
+/// The v3 sealing of a snapshot, built from the documented layout: a
+/// `u64` head length, the JSON head with `fleet: null`, then the fleet
+/// snapshot's binary payload.
+fn sealed_v3(snap: &SessionSnapshot) -> Vec<u8> {
+    let head = serde_json::to_string(&SessionSnapshot { fleet: None, ..snap.clone() }).unwrap();
+    let mut payload = (head.len() as u64).to_le_bytes().to_vec();
+    payload.extend_from_slice(head.as_bytes());
+    if let Some(fleet) = &snap.fleet {
+        fleet.encode_into(&mut payload);
+    }
+    seal_payload(&payload)
 }
 
 proptest! {
@@ -328,9 +358,8 @@ fn configs_with_the_removed_precision_key_still_decode() {
     let config = session_config(6, 9, 3);
     let mut session = Session::spawn(config.clone(), 2).unwrap();
     session.advance_to(4).unwrap();
-    let sealed = session.sealed();
-    let payload = std::str::from_utf8(unseal_payload(&sealed).unwrap()).unwrap();
-    let resealed = seal_payload(with_legacy_key(payload).as_bytes());
+    let payload = serde_json::to_string(&session.snapshot()).unwrap();
+    let resealed = seal_v2(with_legacy_key(&payload).as_bytes());
     let revived = Session::hydrate(&resealed, 2).unwrap();
     assert_eq!(revived.snapshot(), session.snapshot());
 
@@ -346,7 +375,9 @@ fn configs_with_the_removed_precision_key_still_decode() {
 /// A sealed session whose traces were forged and resealed with a valid
 /// checksum must be refused at hydrate time as `Corrupt`: the daemon
 /// neither accepts the bytes nor panics on a later advance. Covers
-/// every layout-aware trace and live-lane check `check_checkpoint` runs.
+/// every layout-aware trace, live-lane and load-histogram check
+/// `check_checkpoint` runs, through both the v3 and the legacy v2
+/// payload.
 #[test]
 fn forged_traces_are_rejected_at_hydrate() {
     let config = session_config(6, 17, 2);
@@ -356,13 +387,15 @@ fn forged_traces_are_rejected_at_hydrate() {
     let fleet = snapshot.fleet.as_ref().expect("an advanced session carries a fleet snapshot");
     assert!(fleet.live.iter().any(|ue| !ue.trace_changes.is_empty()), "live traces to forge");
 
+    assert_eq!(sealed_v3(&snapshot), session.sealed(), "the documented v3 layout");
+
     type Forgery = fn(&mut SessionSnapshot);
     let forge = |edit: Forgery| {
         let mut forged = snapshot.clone();
         edit(&mut forged);
-        seal_payload(serde_json::to_string(&forged).unwrap().as_bytes())
+        [sealed_v3(&forged), sealed_v2(&forged)]
     };
-    let forgeries: [(&str, Forgery); 7] = [
+    let forgeries: [(&str, Forgery); 8] = [
         (
             "cell outside the layout",
             |s| {
@@ -419,25 +452,51 @@ fn forged_traces_are_rejected_at_hydrate() {
             "shadowing freshness flags cut",
             |s| s.fleet.as_mut().unwrap().live[0].engine.shadow.fresh.truncate(3),
         ),
+        (
+            "load histogram over cells outside the layout",
+            |s| {
+                let cells = (100..119).map(|q| Axial::new(q, 0));
+                s.fleet.as_mut().unwrap().cell_load = CellLoadHistogram::new(cells);
+            },
+        ),
     ];
     for (what, edit) in &forgeries {
-        let bytes = forge(*edit);
-        match Session::hydrate(&bytes, 2) {
-            Err(SessionError::Corrupt(CheckpointError::ShapeMismatch(_))) => {}
-            Err(err) => panic!("{what}: expected a shape mismatch, got {err:?}"),
-            Ok(_) => panic!("{what}: hydrate accepted forged bytes"),
+        for (bytes, container) in forge(*edit).into_iter().zip(["v3", "v2"]) {
+            match Session::hydrate(&bytes, 2) {
+                Err(SessionError::Corrupt(CheckpointError::ShapeMismatch(_))) => {}
+                Err(err) => panic!("{what} ({container}): expected a shape mismatch, got {err:?}"),
+                Ok(_) => panic!("{what} ({container}): hydrate accepted forged bytes"),
+            }
+            let mut server = TwinServer::new(2);
+            match server.handle(Request::Hydrate { bytes }) {
+                Response::Error { error: ServerError::Session { .. } } => {}
+                other => panic!("{what} ({container}): the daemon accepted {other:?}"),
+            }
+            assert_eq!(server.session_count(), 0, "{what} ({container})");
         }
-        let mut server = TwinServer::new(2);
-        match server.handle(Request::Hydrate { bytes }) {
-            Response::Error { error: ServerError::Session { .. } } => {}
-            other => panic!("{what}: the daemon accepted forged bytes: {other:?}"),
-        }
-        assert_eq!(server.session_count(), 0, "{what}");
     }
 
     // The untouched snapshot still hydrates and finishes.
-    let mut revived = Session::hydrate(&forge(|_| {}), 2).unwrap();
-    assert!(revived.advance_to(u64::MAX).unwrap().complete);
+    for bytes in forge(|_| {}) {
+        let mut revived = Session::hydrate(&bytes, 2).unwrap();
+        assert_eq!(revived.snapshot(), snapshot);
+        assert!(revived.advance_to(u64::MAX).unwrap().complete);
+    }
+}
+
+/// A v3 session head must not carry the fleet snapshot itself: the
+/// fleet travels only in binary behind the head.
+#[test]
+fn a_v3_head_carrying_a_fleet_is_malformed() {
+    let mut session = Session::spawn(session_config(6, 17, 2), 1).unwrap();
+    session.advance_to(3).unwrap();
+    let head = serde_json::to_string(&session.snapshot()).unwrap();
+    let mut payload = (head.len() as u64).to_le_bytes().to_vec();
+    payload.extend_from_slice(head.as_bytes());
+    match Session::hydrate(&seal_payload(&payload), 1) {
+        Err(SessionError::Corrupt(CheckpointError::Malformed(_))) => {}
+        other => panic!("expected a malformed payload, got {other:?}"),
+    }
 }
 
 /// Seals follow the cadence, not the advance: a session at cadence 16
@@ -579,9 +638,8 @@ fn configs_with_the_removed_keep_snapshots_key_still_decode() {
     let config = session_config(6, 9, 3);
     let mut session = Session::spawn(config.clone(), 2).unwrap();
     session.advance_to(4).unwrap();
-    let sealed = session.sealed();
-    let payload = std::str::from_utf8(unseal_payload(&sealed).unwrap()).unwrap();
-    let resealed = seal_payload(with_legacy_key(payload).as_bytes());
+    let payload = serde_json::to_string(&session.snapshot()).unwrap();
+    let resealed = seal_v2(with_legacy_key(&payload).as_bytes());
     let revived = Session::hydrate(&resealed, 2).unwrap();
     assert_eq!(revived.snapshot(), session.snapshot());
 
